@@ -16,10 +16,9 @@ from .bipartite import BipartiteRealization
 from .errors import (ContractError, DomainError, InfeasibleError,
                      InternalError, NotGraphicError)
 from .flow import FlowAssignment, FlowNetwork, max_flow
-from .rounding import (HalfWeights, apply_alternation, partition_into_circuits,
-                       rotate_walk, toggle_integral_edge)
+from .rounding import HalfWeights, round_half_weights
 from .sequences import (DegreeSequence, DominatingSet, Realization,
-                        _eg_inequalities_hold, is_graphic)
+                        _degree_reaches_n, _eg_inequalities_hold, is_graphic)
 
 __all__ = [
     "build_mds_flow",
@@ -86,6 +85,8 @@ def mds_systems_hold(d: DegreeSequence, gamma: int) -> bool:
     the doubled sequence exists -- regardless of whether d itself is graphic.
     """
     _check_gamma(d, gamma)
+    if _degree_reaches_n(d):
+        return False
     return _systems_hold(np.asarray(d.values, dtype=np.int64), gamma)
 
 
@@ -99,7 +100,7 @@ def mds_feasible(d: DegreeSequence, gamma: int) -> bool:
     _check_gamma(d, gamma)
     if d.n == 0:
         return True
-    if d.total % 2 != 0:
+    if d.total % 2 != 0 or _degree_reaches_n(d):
         return False
     return _systems_hold(np.asarray(d.values, dtype=np.int64), gamma)
 
@@ -169,12 +170,7 @@ def build_mds_flow(d: DegreeSequence, gamma: int) -> FlowNetwork:
         for j in range(1, n + 1):
             yield (n + j, sink, vals[j - 1])
 
-    labels = (("Source",)
-              + ("X_D",) * gamma + ("X_S",) * r
-              + ("Y_D",) * gamma + ("Y_S",) * r
-              + ("X'_S",) * r + ("Y'_S",) * r
-              + ("Sink",))
-    return FlowNetwork(2 * n + 2 * r + 2, source, sink, arcs(), node_labels=labels)
+    return FlowNetwork(2 * n + 2 * r + 2, source, sink, arcs())
 
 
 def extract_bipartite_mds(d: DegreeSequence, gamma: int,
@@ -309,91 +305,14 @@ def round_bipartite_mds(bip: BipartiteRealization, checked: bool = False) -> Rea
             raise InternalError(f"triangle edge ({a}, {b}) missing for vertex {s}")
         triangles.append((a, s, b))
 
-    # Cover the remaining half-weight edges: one closed walk per connected
-    # component after the triangles are set aside.
-    adj = [set(neigh) for neigh in hw.half_adj]
-    for a, s, b in triangles:
-        for u, v in ((a, s), (s, b), (a, b)):
-            adj[u].discard(v)
-            adj[v].discard(u)
-    walks = partition_into_circuits(adj, n)
-
-    # cycle record: (walk, is_triangle, center vertex s or None)
-    cycles: list[tuple[list[int], bool, int | None]] = (
-        [(walk, False, None) for walk in walks]
-        + [([a, s, b, a], True, s) for a, s, b in triangles])
-
-    odd_cycles = []
-    for walk, is_tri, center in cycles:
-        if (len(walk) - 1) % 2 == 0:
-            apply_alternation(hw, walk, 0)
-            if checked:
-                _checked_state(hw, gamma)
-        else:
-            odd_cycles.append((walk, is_tri, center))
-
-    if len(odd_cycles) % 2 != 0:
-        raise InternalError("odd cycle count is odd; half-weight edge count was odd")
-    odd_cycles.sort(key=lambda cyc: min(cyc[0]))
-
-    for idx in range(0, len(odd_cycles), 2):
-        first, second = odd_cycles[idx], odd_cycles[idx + 1]
-        inter = set(first[0]) & set(second[0])
-        if inter:
-            if first[1] == second[1]:
-                raise InternalError("intersecting odd cycles are not a triangle/walk pair")
-            tri, plain = (first, second) if first[1] else (second, first)
-            if inter != {tri[2]}:
-                raise InternalError(f"odd cycle intersection {inter} is not the triangle center")
-            s = tri[2]
-            apply_alternation(hw, rotate_walk(tri[0], s), 2)
-            apply_alternation(hw, rotate_walk(plain[0], s), 0)
-        else:
-            x, y = _choose_connector(hw, first, second, protected)
-            xi = toggle_integral_edge(hw, x, y)
-            apply_alternation(hw, rotate_walk(first[0], x), 2 * xi)
-            apply_alternation(hw, rotate_walk(second[0], y), 2 * xi)
-            for walk, is_tri, center in (first, second):
-                if is_tri:
-                    others = [v for v in (walk[0], walk[1], walk[2]) if v != center]
-                    if hw.w[center][others[0]] != 2 and hw.w[center][others[1]] != 2:
-                        raise InternalError(
-                            f"triangle center {center} lost both prefix edges")
-        if checked:
-            _checked_state(hw, gamma)
-
-    for i in range(1, n + 1):
-        if hw.half_adj[i]:
-            raise InternalError(f"half-weight edges remain at vertex {i}")
-
-    graph = Realization.from_edges(n, hw.integral_edges(),
-                                   DominatingSet(tuple(range(1, gamma + 1))))
+    check = (lambda: _checked_state(hw, gamma)) if checked else None
+    edges = round_half_weights(hw, protected, triangles, check)
+    graph = Realization.from_edges(n, edges, DominatingSet(tuple(range(1, gamma + 1))))
     if graph.degrees() != degrees:
         raise InternalError("rounded graph does not carry the input degrees")
     if not verify_dominating(graph, range(1, gamma + 1)):
         raise InternalError("rounded graph is not dominated by its prefix")
     return graph
-
-
-def _choose_connector(hw: HalfWeights, first, second, protected):
-    """Pick the lexicographically least cross pair (x, y) usable for joining
-    two disjoint odd cycles: not a protected edge, not half-weight, and not
-    a triangle center."""
-    xs = sorted(set(first[0]))
-    ys = sorted(set(second[0]))
-    if first[1]:
-        xs = [v for v in xs if v != first[2]]
-    if second[1]:
-        ys = [v for v in ys if v != second[2]]
-    for x in xs:
-        for y in ys:
-            pair = (x, y) if x < y else (y, x)
-            if pair in protected:
-                continue
-            if hw.w[x][y] == 1:
-                continue
-            return x, y
-    raise InternalError("no usable pair joins two disjoint odd cycles")
 
 
 def realize_mds(d: DegreeSequence, checked: bool = False) -> Realization:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .errors import NetworkError
 
@@ -22,16 +22,13 @@ class FlowNetwork:
     """A directed network with integer arc capacities and one source/sink.
 
     Arcs are stored in three parallel arrays (tail, head, capacity) to keep
-    million-arc networks compact.  ``node_labels`` optionally tags each node
-    with the role it plays in a reduction ("source", "sink", "X_D", ...).
+    million-arc networks compact.
     """
 
-    __slots__ = ("node_count", "source", "sink", "tails", "heads", "caps", "node_labels")
+    __slots__ = ("node_count", "source", "sink", "tails", "heads", "caps")
 
     def __init__(self, node_count: int, source: int, sink: int,
-                 arcs: Iterator[tuple[int, int, int]] | list[tuple[int, int, int]],
-                 node_labels: Optional[tuple[str, ...]] = None,
-                 validate: bool = True):
+                 arcs: Iterator[tuple[int, int, int]] | list[tuple[int, int, int]]):
         self.node_count = node_count
         self.source = source
         self.sink = sink
@@ -42,9 +39,7 @@ class FlowNetwork:
             self.tails.append(u)
             self.heads.append(v)
             self.caps.append(c)
-        self.node_labels = node_labels
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         n = self.node_count
@@ -52,8 +47,6 @@ class FlowNetwork:
             raise NetworkError("source/sink out of range")
         if self.source == self.sink:
             raise NetworkError("source and sink must differ")
-        if self.node_labels is not None and len(self.node_labels) != n:
-            raise NetworkError("node_labels length does not match node_count")
         seen = set()
         for k in range(len(self.tails)):
             u, v, c = self.tails[k], self.heads[k], self.caps[k]
@@ -75,9 +68,6 @@ class FlowNetwork:
     @property
     def arc_count(self) -> int:
         return len(self.tails)
-
-    def arc(self, k: int) -> tuple[int, int, int]:
-        return (self.tails[k], self.heads[k], self.caps[k])
 
     def iter_arcs(self) -> Iterator[tuple[int, int, int]]:
         for k in range(len(self.tails)):

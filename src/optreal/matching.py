@@ -1,18 +1,20 @@
 """Maximum matching over all realizations of a degree sequence.
 
-The achievable matching size is probed through a flow reduction for the
-doubled sequence: a realization with nu matched pairs on the top 2*nu degree
-positions (paired highest-with-lowest) exists iff the reduction network for
-(d, nu) saturates at sum(d) - 2*nu.  A witness realization is built from a
-saturating flow by the same half-integral rounding scheme as the dominating
-pipeline, with the inverted matching edges held at full weight throughout.
+The achievable matching size is characterized through a flow reduction for
+the doubled sequence: a realization with nu matched pairs on the top 2*nu
+degree positions (paired highest-with-lowest) exists iff the reduction
+network for (d, nu) saturates at sum(d) - 2*nu.  A witness realization is
+built from a saturating flow by the same half-integral rounding scheme as
+the dominating pipeline, with the inverted matching edges held at full
+weight throughout.
 
-For large n the saturation test is answered without materializing the
-quadratic-size network: the matched prefix is reduced by one and the result
-is tested for graphicality, which is equivalent on graphic inputs (removing
-a matching from a witness leaves a graphic sequence; conversely a graphic
-reduced sequence plus the matching can be combined into one realization).
-The two routes are cross-verified exhaustively in the test suite.
+Feasibility itself is answered without materializing the quadratic-size
+network: the matched prefix is reduced by one and the result is tested for
+graphicality, which is equivalent on graphic inputs (removing a matching
+from a witness leaves a graphic sequence; conversely a graphic reduced
+sequence plus the matching can be combined into one realization).  The
+network is built and solved only once per witness, by ``realize_mm``; the
+test suite cross-checks the reduction test against its saturation.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from .bipartite import BipartiteRealization
 from .errors import (ContractError, DomainError, FlipError, InfeasibleError,
                      InternalError, NotGraphicError)
 from .flow import FlowAssignment, FlowNetwork, max_flow
-from .rounding import (HalfWeights, apply_alternation, partition_into_circuits,
-                       rotate_walk, toggle_integral_edge)
+from .rounding import HalfWeights, round_half_weights
 from .sequences import (DegreeSequence, Matching, Realization,
                         _eg_inequalities_hold, is_graphic)
 
@@ -39,13 +40,6 @@ __all__ = [
     "round_bipartite_mm",
     "verify_matching",
 ]
-
-# Above this size the feasibility probe switches from the literal flow
-# computation to the equivalent prefix-reduction graphicality test; the
-# explicit network has ~n^2 arcs and stops being materializable long before
-# the value search is expected to (n = 100000 in the scale checks).
-FLOW_PROBE_CUTOFF = 256
-
 
 def _check_nu(d: DegreeSequence, nu: int):
     if not (0 <= 2 * nu <= d.n):
@@ -78,15 +72,7 @@ def build_mm_flow(d: DegreeSequence, nu: int) -> FlowNetwork:
         for j in range(1, n + 1):
             yield (n + j, sink, vals[j - 1] - 1 if j <= two_nu else vals[j - 1])
 
-    labels = (("Source",)
-              + ("X_M",) * two_nu + ("X_R",) * (n - two_nu)
-              + ("Y_M",) * two_nu + ("Y_R",) * (n - two_nu)
-              + ("Sink",))
-    return FlowNetwork(2 * n + 2, 0, sink, arcs(), node_labels=labels)
-
-
-def _mm_feasible_flow(d: DegreeSequence, nu: int) -> bool:
-    return max_flow(build_mm_flow(d, nu)).value == d.total - 2 * nu
+    return FlowNetwork(2 * n + 2, 0, sink, arcs())
 
 
 def _mm_feasible_reduction(d: DegreeSequence, nu: int) -> bool:
@@ -102,14 +88,12 @@ def mm_feasible(d: DegreeSequence, nu: int) -> bool:
     """True iff some realization of ``d`` has a matching of size nu.
 
     Equivalent to the reduction network for (d, nu) saturating at
-    sum(d) - 2*nu; answered by the literal flow below FLOW_PROBE_CUTOFF
-    vertices and by the prefix-reduction graphicality test above it.
+    sum(d) - 2*nu, and answered at every size by the O(n log n)
+    prefix-reduction graphicality test instead of the flow.
     """
     _check_nu(d, nu)
     if not is_graphic(d):
         raise NotGraphicError(f"sequence {d.values} is not graphic")
-    if d.n <= FLOW_PROBE_CUTOFF:
-        return _mm_feasible_flow(d, nu)
     return _mm_feasible_reduction(d, nu)
 
 
@@ -126,11 +110,10 @@ def mm_value(d: DegreeSequence) -> int:
     n = d.n
     if n < 2:
         return 0
-    probe = _mm_feasible_flow if n <= FLOW_PROBE_CUTOFF else _mm_feasible_reduction
     lo, hi = 0, n // 2
     while lo < hi:
         mid = (lo + hi + 1) // 2
-        if probe(d, mid):
+        if _mm_feasible_reduction(d, mid):
             lo = mid
         else:
             hi = mid - 1
@@ -173,9 +156,9 @@ def round_bipartite_mm(bip: BipartiteRealization, checked: bool = False) -> Real
     The inverted matching pairs carry full weight from the start and no
     stage ever touches a full-weight edge except the integral toggle that
     joins two odd walks, which explicitly avoids them; so the matching
-    survives into the output.  Remaining half-weight edges are covered by
-    per-component closed walks and rounded by alternation exactly as in the
-    dominating pipeline, minus the domination bookkeeping.
+    survives into the output.  The half-weight edges are rounded by the
+    dominating pipeline's tail, ``round_half_weights``, with the matching
+    pairs as its protected set and no triangles.
     """
     if bip.mode != "mm":
         raise ContractError(f"expected a bipartite realization in mm mode, got {bip.mode!r}")
@@ -192,55 +175,14 @@ def round_bipartite_mm(bip: BipartiteRealization, checked: bool = False) -> Real
     if checked:
         checked_state()
 
-    adj = [set(neigh) for neigh in hw.half_adj]
-    walks = partition_into_circuits(adj, n)
-
-    odd_walks = []
-    for walk in walks:
-        if (len(walk) - 1) % 2 == 0:
-            apply_alternation(hw, walk, 0)
-            if checked:
-                checked_state()
-        else:
-            odd_walks.append(walk)
-
-    if len(odd_walks) % 2 != 0:
-        raise InternalError("odd cycle count is odd; half-weight edge count was odd")
-    odd_walks.sort(key=min)
-
-    for idx in range(0, len(odd_walks), 2):
-        first, second = odd_walks[idx], odd_walks[idx + 1]
-        x, y = _choose_connector(first, second, two_nu)
-        if hw.w[x][y] == 1:
-            raise InternalError(
-                f"pair ({x}, {y}) joining two components is half-weight")
-        xi = toggle_integral_edge(hw, x, y)
-        apply_alternation(hw, rotate_walk(first, x), 2 * xi)
-        apply_alternation(hw, rotate_walk(second, y), 2 * xi)
-        if checked:
-            checked_state()
-
-    for i in range(1, n + 1):
-        if hw.half_adj[i]:
-            raise InternalError(f"half-weight edges remain at vertex {i}")
-
     pairs = tuple((i, two_nu - i + 1) for i in range(1, two_nu // 2 + 1))
-    graph = Realization.from_edges(n, hw.integral_edges(), Matching(pairs))
+    edges = round_half_weights(hw, set(pairs), [], checked_state if checked else None)
+    graph = Realization.from_edges(n, edges, Matching(pairs))
     if graph.degrees() != degrees:
         raise InternalError("rounded graph does not carry the input degrees")
     if not verify_matching(graph, pairs):
         raise InternalError("rounded graph lost the inverted prefix matching")
     return graph
-
-
-def _choose_connector(first: list[int], second: list[int], two_nu: int):
-    """Lexicographically least cross pair that is not a matching pair."""
-    for x in sorted(set(first)):
-        partner = two_nu - x + 1 if x <= two_nu else 0
-        for y in sorted(set(second)):
-            if y != partner:
-                return x, y
-    raise InternalError("no usable pair joins two disjoint odd walks")
 
 
 def realize_mm(d: DegreeSequence, checked: bool = False) -> Realization:

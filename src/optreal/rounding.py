@@ -9,6 +9,8 @@ it; it is always an even graph between pipeline stages.
 
 from __future__ import annotations
 
+from typing import Callable
+
 from .errors import InternalError
 
 __all__ = [
@@ -16,6 +18,7 @@ __all__ = [
     "apply_alternation",
     "partition_into_circuits",
     "rotate_walk",
+    "round_half_weights",
     "toggle_integral_edge",
 ]
 
@@ -52,9 +55,6 @@ class HalfWeights:
                     half_adj[i].add(j)
                     half_adj[j].add(i)
         return hw
-
-    def weight(self, i: int, j: int) -> int:
-        return self.w[i][j]
 
     def set_weight(self, i: int, j: int, value: int):
         old = self.w[i][j]
@@ -173,3 +173,92 @@ def toggle_integral_edge(hw: HalfWeights, x: int, y: int) -> int:
         raise InternalError(f"pair ({x}, {y}) is half-weight; cannot toggle")
     hw.set_weight(x, y, 2 - v)
     return v // 2
+
+
+def round_half_weights(hw: HalfWeights, protected: set[tuple[int, int]],
+                       triangles: list[tuple[int, int, int]],
+                       check: Callable[[], None] | None) -> list[tuple[int, int]]:
+    """Make every weight of ``hw`` integral and return the full-weight pairs.
+
+    The half-weight graph minus the ``triangles`` (each (a, s, b) with center
+    s) is covered by one closed walk per connected component; the triangles
+    join as closed walks of their own.  Even walks are rounded by
+    alternation.  Odd walks are paired in order of their lowest vertex: a
+    pair sharing a triangle center is rounded through that center, any other
+    pair through the least usable connector pair (see ``_choose_connector``),
+    whose integral weight is toggled.  No weighted degree changes, no pair in
+    ``protected`` (normalized as i < j) is touched, and every triangle center
+    keeps a full-weight edge to one of its two triangle partners.
+
+    ``check``, when given, is called after every individual modification.
+    """
+    adj = [set(neigh) for neigh in hw.half_adj]
+    for a, s, b in triangles:
+        for u, v in ((a, s), (s, b), (a, b)):
+            adj[u].discard(v)
+            adj[v].discard(u)
+    walks = partition_into_circuits(adj, hw.n)
+
+    # cycle record: (walk, triangle center s or None)
+    cycles = [(walk, None) for walk in walks] + [([a, s, b, a], s) for a, s, b in triangles]
+
+    odd_cycles = []
+    for walk, center in cycles:
+        if (len(walk) - 1) % 2 == 0:
+            apply_alternation(hw, walk, 0)
+            if check:
+                check()
+        else:
+            odd_cycles.append((walk, center))
+
+    if len(odd_cycles) % 2 != 0:
+        raise InternalError("odd cycle count is odd; half-weight edge count was odd")
+    odd_cycles.sort(key=lambda cyc: min(cyc[0]))
+
+    for idx in range(0, len(odd_cycles), 2):
+        first, second = odd_cycles[idx], odd_cycles[idx + 1]
+        inter = set(first[0]) & set(second[0])
+        if inter:
+            if (first[1] is None) == (second[1] is None):
+                raise InternalError("intersecting odd cycles are not a triangle/walk pair")
+            tri, plain = (first, second) if first[1] is not None else (second, first)
+            s = tri[1]
+            if inter != {s}:
+                raise InternalError(f"odd cycle intersection {inter} is not the triangle center")
+            apply_alternation(hw, rotate_walk(tri[0], s), 2)
+            apply_alternation(hw, rotate_walk(plain[0], s), 0)
+        else:
+            x, y = _choose_connector(hw, first, second, protected)
+            xi = toggle_integral_edge(hw, x, y)
+            apply_alternation(hw, rotate_walk(first[0], x), 2 * xi)
+            apply_alternation(hw, rotate_walk(second[0], y), 2 * xi)
+            for walk, center in (first, second):
+                if center is not None:
+                    others = [v for v in walk[:3] if v != center]
+                    if hw.w[center][others[0]] != 2 and hw.w[center][others[1]] != 2:
+                        raise InternalError(
+                            f"triangle center {center} lost both prefix edges")
+        if check:
+            check()
+
+    for i in range(1, hw.n + 1):
+        if hw.half_adj[i]:
+            raise InternalError(f"half-weight edges remain at vertex {i}")
+    return hw.integral_edges()
+
+
+def _choose_connector(hw: HalfWeights, first, second, protected):
+    """Pick the lexicographically least cross pair (x, y) usable for joining
+    two disjoint odd cycles: not a protected edge, not half-weight, and not
+    a triangle center."""
+    xs = sorted(v for v in set(first[0]) if v != first[1])
+    ys = sorted(v for v in set(second[0]) if v != second[1])
+    for x in xs:
+        for y in ys:
+            pair = (x, y) if x < y else (y, x)
+            if pair in protected:
+                continue
+            if hw.w[x][y] == 1:
+                continue
+            return x, y
+    raise InternalError("no usable pair joins two disjoint odd cycles")

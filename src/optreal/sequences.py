@@ -134,12 +134,25 @@ def _eg_inequalities_hold(values_desc: np.ndarray) -> bool:
     return bool(np.all(prefix[1:] <= rhs))
 
 
+def _degree_reaches_n(d: DegreeSequence) -> bool:
+    """True iff the largest degree is at least n.
+
+    No vertex can have more than n - 1 partners among the n positive-degree
+    vertices, in a graph or in the doubled bipartite problem, so such a
+    sequence is infeasible everywhere.  Testing this first also keeps every
+    degree (and every prefix sum, below n^2) well inside int64.
+    """
+    return d.n > 0 and d.values[0] >= d.n
+
+
 def is_graphic(d: DegreeSequence) -> bool:
     """Decide whether some simple graph has exactly these vertex degrees.
 
     True iff the degree sum is even and every prefix inequality
     ``sum(d[:k]) <= k(k-1) + sum(min(k, d_i) for i > k)`` holds.
     """
+    if _degree_reaches_n(d):
+        return False
     arr = np.asarray(d.values, dtype=np.int64)
     if int(arr.sum()) % 2 != 0:
         return False
@@ -195,14 +208,6 @@ class Realization:
             deg[u] += 1
             deg[v] += 1
         return tuple(deg[1:])
-
-    def adjacency_sets(self) -> list[set[int]]:
-        """Neighbor sets indexed 1..n (index 0 unused)."""
-        adj: list[set[int]] = [set() for _ in range(self.n + 1)]
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
 
     def realizes(self, d: DegreeSequence) -> bool:
         """True iff vertex i has degree d_i (stripped zeros appended last)."""

@@ -27,6 +27,17 @@ def test_check_not_graphic_even_sum():
     assert (code, out) == (1, "not graphic\n")
 
 
+def test_degree_beyond_int64_is_not_graphic():
+    # a degree of at least n is rejected before any fixed-width conversion
+    code, out, err = invoke(["check", "9223372036854775808 1"])
+    assert (code, out, err) == (1, "not graphic\n", "")
+    for objective in ("mds", "mm"):
+        code, out, err = invoke([objective, "value", "99999999999999999999 1"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.count("\n") == 1
+
+
 def test_mds_value():
     code, out, _ = invoke(["mds", "value", "2 2 2"])
     assert (code, out) == (0, "1\n")

@@ -350,6 +350,10 @@ def test_system_flow_equivalence_randomized():
         d = DS(tuple(sorted((rng.randint(1, max(n - 1, 1)) for _ in range(n)), reverse=True)))
         gamma = rng.randint(1, n)
         assert mds_systems_hold(d, gamma) == saturates(d, gamma), (d.values, gamma)
+    # a degree of n: x_1 reaches at most n - 1 partners, so nothing saturates
+    d = DS((6, 2, 2, 2, 2, 2))
+    assert not saturates(d, 2)
+    assert not mds_systems_hold(d, 2)
 
 
 def test_feasibility_monotone_in_gamma():

@@ -8,7 +8,6 @@ from optreal import (ContractError, DegreeSequence, DomainError,
                      oracle_mm, realize_mm, round_bipartite_mm,
                      verify_matching)
 from optreal.bipartite import BipartiteRealization
-from optreal.matching import _mm_feasible_flow, _mm_feasible_reduction
 
 from conftest import graphic_sequences_upto, random_graphic_sequence
 
@@ -68,13 +67,31 @@ def test_feasible_rejects_non_graphic():
         mm_feasible(DS((4, 3, 1, 1, 1)), 1)
 
 
+def _flow_saturates(d, nu):
+    """Reference for mm_feasible: the definition by network saturation."""
+    return max_flow(build_mm_flow(d, nu)).value == d.total - 2 * nu
+
+
 def test_flow_and_reduction_probes_agree():
-    # the two internal routes must answer identically on graphic inputs
+    # the reduction test behind mm_feasible must answer exactly as the
+    # network saturation it replaces: on every (d, nu) with n <= 7, on small
+    # sparse inputs and on the n in [16, 128] shapes with degrees up to
+    # n - 1, including nu = n // 2
     rng = random.Random(88)
+    cases = [(d, nu) for d in graphic_sequences_upto(7) for nu in range(d.n // 2 + 1)]
     for _ in range(150):
         d = random_graphic_sequence(rng, rng.randint(2, 24), dmax=8)
-        nu = rng.randint(0, d.n // 2)
-        assert _mm_feasible_flow(d, nu) == _mm_feasible_reduction(d, nu), (d.values, nu)
+        cases.append((d, rng.randint(0, d.n // 2)))
+    for _ in range(16):
+        d = random_graphic_sequence(rng, rng.randint(16, 128))
+        cases += [(d, rng.randint(0, d.n // 2)), (d, d.n // 2)]
+        # complete split graph: k hubs joined to everything force nu <= k
+        n = rng.randint(16, 128)
+        k = rng.randint(1, n // 2 - 1)
+        split = DS((n - 1,) * k + (k,) * (n - k))
+        cases += [(split, k), (split, k + 1), (split, n // 2)]
+    for d, nu in cases:
+        assert _flow_saturates(d, nu) == mm_feasible(d, nu), (d.values, nu)
 
 
 def test_feasibility_monotone_decreasing_and_binary_matches_linear():
