@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import ContractError
+from .errors import ContractError, InternalError
 
 __all__ = ["BipartiteRealization"]
 
@@ -71,3 +71,24 @@ class BipartiteRealization:
                 j = two_nu - i + 1
                 if adj[i][j] != 1:
                     raise ContractError(f"inverted matching entry ({i}, {j}) missing")
+
+
+def _from_flow_rows(n: int, prefix: int, mode: Literal["mds", "mm"],
+                    degrees: tuple[int, ...], rows) -> BipartiteRealization:
+    """The realization with ones at the columns ``rows[i]`` of each row i,
+    read off a saturating flow and validated once.
+
+    A realization that fails validation means the flow was not the one the
+    reduction guarantees, which is a bug, so it raises InternalError.
+    """
+    adjacency = [bytearray(n + 1) for _ in range(n + 1)]
+    for i, cols in enumerate(rows):
+        row = adjacency[i]
+        for j in cols:
+            row[j] = 1
+    bip = BipartiteRealization(n, prefix, mode, degrees, adjacency)
+    try:
+        bip.validate()
+    except ContractError as exc:
+        raise InternalError(f"saturating flow produced an invalid realization: {exc}") from exc
+    return bip

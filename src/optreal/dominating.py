@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bipartite import BipartiteRealization
+from .bipartite import BipartiteRealization, _from_flow_rows
 from .errors import (ContractError, DomainError, InfeasibleError,
                      InternalError, NotGraphicError)
-from .flow import FlowAssignment, FlowNetwork, max_flow
+from .flow import FlowAssignment, FlowNetwork, _reduction_max_flow
 from .rounding import HalfWeights, round_half_weights
 from .sequences import (DegreeSequence, DominatingSet, Realization,
                         _degree_reaches_n, _eg_inequalities_hold, is_graphic)
@@ -173,6 +173,12 @@ def build_mds_flow(d: DegreeSequence, gamma: int) -> FlowNetwork:
     return FlowNetwork(2 * n + 2 * r + 2, source, sink, arcs())
 
 
+def _mds_flow(d: DegreeSequence, gamma: int):
+    """``max_flow(build_mds_flow(d, gamma))`` without building the network,
+    as (value, rows, sup_rows) of ``flow._reduction_max_flow``."""
+    return _reduction_max_flow(d.n, gamma, (0,) + d.values, [0] * (d.n + 1))
+
+
 def extract_bipartite_mds(d: DegreeSequence, gamma: int,
                           assignment: FlowAssignment) -> BipartiteRealization:
     """Read a prefix-dominated bipartite realization off a saturating flow."""
@@ -188,7 +194,7 @@ def extract_bipartite_mds(d: DegreeSequence, gamma: int,
             f"dominating prefix of length {gamma}")
     xp0 = 2 * n - gamma
     yp0 = 2 * n + r - gamma
-    adjacency = [bytearray(n + 1) for _ in range(n + 1)]
+    rows = [[] for _ in range(n + 1)]
     flows = assignment.flows
     tails, heads = net.tails, net.heads
     for k in range(net.arc_count):
@@ -196,15 +202,10 @@ def extract_bipartite_mds(d: DegreeSequence, gamma: int,
             continue
         u, v = tails[k], heads[k]
         if 1 <= u <= n and n + 1 <= v <= 2 * n:
-            adjacency[u][v - n] = 1
+            rows[u].append(v - n)
         elif 2 * n + 1 <= u <= 2 * n + r and 2 * n + r + 1 <= v <= 2 * n + 2 * r:
-            adjacency[u - xp0][v - yp0] = 1
-    bip = BipartiteRealization(n, gamma, "mds", d.values, adjacency)
-    try:
-        bip.validate()
-    except ContractError as exc:
-        raise InternalError(f"saturating flow produced an invalid realization: {exc}") from exc
-    return bip
+            rows[u - xp0].append(v - yp0)
+    return _from_flow_rows(n, gamma, "mds", d.values, rows)
 
 
 def _find_two_dom_path(hw: HalfWeights, gamma: int, s: int):
@@ -247,6 +248,11 @@ def round_bipartite_mds(bip: BipartiteRealization, checked: bool = False) -> Rea
     if bip.mode != "mds":
         raise ContractError(f"expected a bipartite realization in mds mode, got {bip.mode!r}")
     bip.validate()
+    return _round_mds(bip, checked)
+
+
+def _round_mds(bip: BipartiteRealization, checked: bool) -> Realization:
+    """``round_bipartite_mds`` on a realization that is already validated."""
     n, gamma = bip.n, bip.prefix
     degrees = bip.degrees
     hw = HalfWeights.from_bipartite_adjacency(n, degrees, bip.adjacency)
@@ -329,13 +335,14 @@ def realize_mds(d: DegreeSequence, checked: bool = False) -> Realization:
         return Realization(zeros, frozenset(),
                            DominatingSet(tuple(range(1, zeros + 1))))
     gamma = mds_value(d) - zeros
-    assignment = max_flow(build_mds_flow(d, gamma))
-    if assignment.value != d.total:
+    value, rows, sup_rows = _mds_flow(d, gamma)
+    if value != d.total:
         raise InternalError(
             f"reduction network for gamma={gamma} failed to saturate after the "
             f"value search claimed feasibility")
-    bip = extract_bipartite_mds(d, gamma, assignment)
-    graph = round_bipartite_mds(bip, checked=checked)
+    for i in range(gamma + 1, n + 1):
+        rows[i] |= sup_rows[i]
+    graph = _round_mds(_from_flow_rows(n, gamma, "mds", d.values, rows), checked)
     if zeros == 0:
         return graph
     certificate = DominatingSet(tuple(range(1, gamma + 1))

@@ -1,10 +1,16 @@
 """Integral maximum s-t flow on directed capacitated networks.
 
-The solver is Dinic's algorithm over an adjacency-indexed residual graph.
-Arcs are scanned in insertion order throughout, so for a fixed network the
-returned assignment is deterministic.  The reduction networks built elsewhere
-in this package have O(n) nodes, O(n^2) arcs, and constant-depth layerings,
-where the algorithm needs only a handful of phases.
+``max_flow`` is Dinic's algorithm over an adjacency-indexed residual graph
+of an explicit ``FlowNetwork``.  Arcs are scanned in insertion order
+throughout, so for a fixed network the returned assignment is deterministic.
+
+The reduction networks of this package have O(n) nodes but O(n^2) arcs,
+almost all of them unit arcs in a few "rows x columns minus a known
+exclusion" blocks.  The realization pipelines therefore never build them:
+``_reduction_max_flow`` runs the same Dinic on the block pattern, in
+O(n + flow) per phase, and returns the same flow arc for arc.  The explicit
+builders (``build_mds_flow``, ``build_mm_flow``) with ``max_flow`` remain
+the public reference it is tested against.
 """
 
 from __future__ import annotations
@@ -35,10 +41,13 @@ class FlowNetwork:
         self.tails = array("l")
         self.heads = array("l")
         self.caps = array("l")
-        for u, v, c in arcs:
-            self.tails.append(u)
-            self.heads.append(v)
-            self.caps.append(c)
+        try:
+            for u, v, c in arcs:
+                self.tails.append(u)
+                self.heads.append(v)
+                self.caps.append(c)
+        except OverflowError:
+            raise NetworkError(f"arc ({u}, {v}) with capacity {c} does not fit in int64") from None
         self._validate()
 
     def _validate(self):
@@ -186,3 +195,270 @@ def max_flow(net: FlowNetwork) -> FlowAssignment:
     for k in range(m):
         flows[k] = caps[k] - cap[2 * k]
     return FlowAssignment(net, flows, total)
+
+
+def _reduction_max_flow(n: int, prefix: int, caps, partner):
+    """Dinic's algorithm on a reduction network given by its pattern.
+
+    The network is the one ``build_mds_flow`` and ``build_mm_flow`` lay out,
+    without its O(n^2) arc arrays.  Nodes: source s, x_i and y_j (1 <= i, j
+    <= n), x'_i and y'_j for i, j > ``prefix``, sink t.  Explicit arcs:
+    s -> x_i and y_i -> t of capacity ``caps[i]``; x_i -> x'_i and
+    y'_i -> y_i of capacity ``caps[i] - 1``.  Unit blocks: x_i -> y_j for
+    j not in {i, partner[i]} with i <= prefix or j <= prefix; x'_i -> y'_j
+    for i != j.  ``caps`` and ``partner`` are 1-based (slot 0 unused; a
+    partner of 0 excludes nothing).
+
+    Each node scans its residual arcs in the builders' insertion order, so
+    the flow equals ``max_flow`` on the built network arc for arc.  BFS
+    reaches a block's columns through the set of unvisited ones, and a DFS
+    current-arc pointer is a (segment, position) pair over the phase's
+    per-level column lists, with dead columns skipped by union-find.
+    Within a phase admissible arcs only disappear, so the first admissible
+    arc at or after a pointer is exactly the arc an explicit scan finds.
+    Every augmenting path crosses a unit arc, so each one carries one unit.
+
+    Returns (value, rows, sup_rows): ``rows[i]`` is the set of j with a unit
+    on x_i -> y_j, ``sup_rows[i]`` the set of j with one on x'_i -> y'_j.
+    """
+    # Node ids: s = 0, x_i = i, y_j = n + j, x'_i = 2n + i, y'_j = 3n + j.
+    n2, n3 = 2 * n, 3 * n
+    t = 4 * n + 1
+    rows = [set() for _ in range(n + 1)]
+    cols = [set() for _ in range(n + 1)]
+    sup_rows = [set() for _ in range(n + 1)]
+    sup_cols = [set() for _ in range(n + 1)]
+    src = [0] * (n + 1)   # flow on s -> x_i
+    snk = [0] * (n + 1)   # flow on y_j -> t
+    xs = [0] * (n + 1)    # flow on x_i -> x'_i
+    ys = [0] * (n + 1)    # flow on y'_j -> y_j
+    colmax = [n if i <= prefix else prefix for i in range(n + 1)]
+    total = 0
+
+    def find(nxt, p):
+        root = p
+        while nxt[root] != root:
+            root = nxt[root]
+        while nxt[p] != root:
+            nxt[p], p = root, nxt[p]
+        return root
+
+    while True:
+        # BFS layering.  A block row reaches the unvisited columns it is not
+        # excluded from and carries no unit to, so a phase costs O(n + flow).
+        level = [-1] * (t + 1)
+        level[0] = 0
+        queue = [i for i in range(1, n + 1) if src[i] < caps[i]]
+        for i in queue:
+            level[i] = 1
+        free_pre = set(range(1, prefix + 1))
+        free_rest = set(range(prefix + 1, n + 1))
+        free_sup = set(range(prefix + 1, n + 1))
+        lt = -1
+        head = 0
+        while head < len(queue):
+            v = queue[head]
+            head += 1
+            lv = level[v] + 1
+            found = []
+            if v <= n:
+                i, ri, pi = v, rows[v], partner[v]
+                for free in ((free_pre, free_rest) if v <= prefix else (free_pre,)):
+                    hit = [j for j in free if j != i and j != pi and j not in ri]
+                    free.difference_update(hit)
+                    found += [n + j for j in hit]
+                if v > prefix and xs[v] < caps[v] - 1 and level[n2 + v] < 0:
+                    found.append(n2 + v)
+            elif v <= n2:
+                j = v - n
+                if snk[j] < caps[j]:
+                    lt = lv
+                    break
+                found = [i for i in cols[j] if level[i] < 0]
+                if j > prefix and ys[j] > 0 and level[n3 + j] < 0:
+                    free_sup.discard(j)
+                    found.append(n3 + j)
+            elif v <= n3:
+                i = v - n2
+                if xs[i] > 0 and level[i] < 0:
+                    found.append(i)
+                ri = sup_rows[i]
+                hit = [j for j in free_sup if j != i and j not in ri]
+                free_sup.difference_update(hit)
+                found += [n3 + j for j in hit]
+            else:
+                j = v - n3
+                found = [n2 + i for i in sup_cols[j] if level[n2 + i] < 0]
+                if ys[j] < caps[j] - 1 and level[n + j] < 0:
+                    free_rest.discard(j)
+                    found.append(n + j)
+            for w in found:
+                level[w] = lv
+            queue += found
+        if lt < 0:
+            break
+        # Nodes on the sink's layer or beyond cannot reach it in this phase.
+        for v in queue:
+            if level[v] >= lt:
+                level[v] = -1
+
+        # Per-level column lists (ascending index) and their dead-skip links.
+        def by_level(offset, first):
+            order = sorted((j for j in range(first, n + 1) if level[offset + j] > 0),
+                           key=lambda j: level[offset + j])
+            start = [0] * (lt + 2)
+            at = [0] * (n + 1)
+            for p, j in enumerate(order):
+                start[level[offset + j] + 1] = p + 1
+                at[j] = p
+            for lv in range(1, lt + 2):
+                start[lv] = max(start[lv], start[lv - 1])
+            return order, start, at, list(range(len(order) + 1))
+
+        yorder, ystart, ypos, ynxt = by_level(n, 1)
+        porder, pstart, ppos, pnxt = by_level(n3, prefix + 1)
+
+        # Blocking flow: repeatedly the first admissible s-t path in arc
+        # order, the same path the explicit current-arc DFS finds.
+        seg = [0] * (t + 1)
+        pos = [0] * (t + 1)
+        rev = [None] * (t + 1)   # per-phase reverse-block lists of y_j, y'_j
+        pos[0] = 1
+        path = [0]
+        while True:
+            u = path[-1]
+            if u == t:
+                for k in range(len(path) - 1):
+                    a, b = path[k], path[k + 1]
+                    if a == 0:
+                        src[b] += 1
+                    elif a <= n:
+                        if b <= n2:
+                            rows[a].add(b - n)
+                            cols[b - n].add(a)
+                        else:
+                            xs[a] += 1
+                    elif a <= n2:
+                        j = a - n
+                        if b == t:
+                            snk[j] += 1
+                        elif b <= n:
+                            rows[b].discard(j)
+                            cols[j].discard(b)
+                        else:
+                            ys[j] -= 1
+                    elif a <= n3:
+                        i = a - n2
+                        if b <= n:
+                            xs[i] -= 1
+                        else:
+                            sup_rows[i].add(b - n3)
+                            sup_cols[b - n3].add(i)
+                    else:
+                        j = a - n3
+                        if b <= n2:
+                            ys[j] += 1
+                        else:
+                            sup_rows[b - n2].discard(j)
+                            sup_cols[j].discard(b - n2)
+                total += 1
+                del path[1:]
+                continue
+            nl = level[u] + 1
+            v = -1
+            sg = seg[u]
+            if u == 0:
+                i = pos[0]
+                while i <= n and (src[i] >= caps[i] or level[i] != 1):
+                    i += 1
+                pos[0] = i
+                if i <= n:
+                    v = i
+            elif u <= n or n2 < u <= n3:
+                # x_i: [reverse s], row of x -> y, [x_i -> x'_i]
+                # x'_i: [reverse x_i -> x'_i], row of x' -> y'
+                sup = u > n
+                i = u - n2 if sup else u
+                if sg == 0:
+                    if sup and xs[i] > 0 and level[i] == nl:
+                        v = i
+                    else:
+                        sg = 1
+                        pos[u] = (pstart if sup else ystart)[nl]
+                if sg == 1:
+                    if sup:
+                        order, nxt, start, cm = porder, pnxt, pstart, n
+                        ri, pi = sup_rows[i], 0
+                    else:
+                        order, nxt, start, cm = yorder, ynxt, ystart, colmax[i]
+                        ri, pi = rows[i], partner[i]
+                    end = start[nl + 1]
+                    p = find(nxt, pos[u])
+                    while p < end:
+                        j = order[p]
+                        if j > cm:
+                            break
+                        if j != i and j != pi and j not in ri:
+                            v = (n3 if sup else n) + j
+                            break
+                        p = find(nxt, p + 1)
+                    pos[u] = p
+                    if v < 0:
+                        sg = 2
+                if sg == 2 and not sup:
+                    if i > prefix and xs[i] < caps[i] - 1 and level[n2 + i] == nl:
+                        v = n2 + i
+                    else:
+                        sg = 3
+            else:
+                # y_j: reverse column of x -> y, [reverse y'_j -> y_j], y_j -> t
+                # y'_j: reverse column of x' -> y', y'_j -> y_j
+                sup = u > n3
+                j = u - n3 if sup else u - n
+                if sg == 0:
+                    sg = 1
+                    if sup:
+                        rev[u] = sorted(i for i in sup_cols[j] if level[n2 + i] == nl)
+                    else:
+                        rev[u] = sorted(i for i in cols[j] if level[i] == nl)
+                if sg == 1:
+                    lst, p = rev[u], pos[u]
+                    cj = sup_cols[j] if sup else cols[j]
+                    off = n2 if sup else 0
+                    while p < len(lst):
+                        i = lst[p]
+                        if level[off + i] == nl and i in cj:
+                            v = off + i
+                            break
+                        p += 1
+                    pos[u] = p
+                    if v < 0:
+                        sg = 2
+                if sg == 2:
+                    if sup:
+                        if ys[j] < caps[j] - 1 and level[n + j] == nl:
+                            v = n + j
+                        else:
+                            sg = 4
+                    elif j > prefix and ys[j] > 0 and level[n3 + j] == nl:
+                        v = n3 + j
+                    else:
+                        sg = 3
+                if sg == 3:
+                    if snk[j] < caps[j] and lt == nl:
+                        v = t
+                    else:
+                        sg = 4
+            seg[u] = sg
+            if v >= 0:
+                path.append(v)
+                continue
+            if u == 0:
+                break
+            level[u] = -1
+            if n < u <= n2:
+                ynxt[ypos[u - n]] = ypos[u - n] + 1
+            elif u > n3:
+                pnxt[ppos[u - n3]] = ppos[u - n3] + 1
+            path.pop()
+    return total, rows, sup_rows

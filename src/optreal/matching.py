@@ -13,18 +13,19 @@ network: the matched prefix is reduced by one and the result is tested for
 graphicality, which is equivalent on graphic inputs (removing a matching
 from a witness leaves a graphic sequence; conversely a graphic reduced
 sequence plus the matching can be combined into one realization).  The
-network is built and solved only once per witness, by ``realize_mm``; the
-test suite cross-checks the reduction test against its saturation.
+network is solved only once per witness, by ``realize_mm``, on its block
+pattern without being built; the test suite cross-checks the reduction
+test against the saturation of the built network.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .bipartite import BipartiteRealization
+from .bipartite import BipartiteRealization, _from_flow_rows
 from .errors import (ContractError, DomainError, FlipError, InfeasibleError,
                      InternalError, NotGraphicError)
-from .flow import FlowAssignment, FlowNetwork, max_flow
+from .flow import FlowAssignment, FlowNetwork, _reduction_max_flow
 from .rounding import HalfWeights, round_half_weights
 from .sequences import (DegreeSequence, Matching, Realization,
                         _eg_inequalities_hold, is_graphic)
@@ -57,22 +58,36 @@ def build_mm_flow(d: DegreeSequence, nu: int) -> FlowNetwork:
     """
     _check_nu(d, nu)
     n = d.n
-    two_nu = 2 * nu
-    vals = d.values
+    caps, partner = _mm_pattern(d, nu)
     sink = 2 * n + 1
 
     def arcs():
         for i in range(1, n + 1):
-            yield (0, i, vals[i - 1] - 1 if i <= two_nu else vals[i - 1])
+            yield (0, i, caps[i])
         for i in range(1, n + 1):
-            partner = two_nu - i + 1
             for j in range(1, n + 1):
-                if j != i and j != partner:
+                if j != i and j != partner[i]:
                     yield (i, n + j, 1)
         for j in range(1, n + 1):
-            yield (n + j, sink, vals[j - 1] - 1 if j <= two_nu else vals[j - 1])
+            yield (n + j, sink, caps[j])
 
     return FlowNetwork(2 * n + 2, 0, sink, arcs())
+
+
+def _mm_pattern(d: DegreeSequence, nu: int) -> tuple[list[int], list[int]]:
+    """Source/sink capacity and excluded partner of each position (1-based):
+    a matched position i <= 2*nu spends one unit on the pair (i, 2*nu-i+1)."""
+    two_nu = 2 * nu
+    caps = [0] + [v - 1 if i <= two_nu else v for i, v in enumerate(d.values, 1)]
+    partner = [0] + [two_nu - i + 1 if i <= two_nu else 0 for i in range(1, d.n + 1)]
+    return caps, partner
+
+
+def _mm_flow(d: DegreeSequence, nu: int):
+    """``max_flow(build_mm_flow(d, nu))`` without building the network, as
+    (value, rows, sup_rows) of ``flow._reduction_max_flow``."""
+    caps, partner = _mm_pattern(d, nu)
+    return _reduction_max_flow(d.n, d.n, caps, partner)
 
 
 def _mm_feasible_reduction(d: DegreeSequence, nu: int) -> bool:
@@ -134,20 +149,13 @@ def extract_bipartite_mm(d: DegreeSequence, nu: int,
         raise InfeasibleError(
             f"flow value {assignment.value} < {target}: no realization with "
             f"an inverted prefix matching of size {nu}")
-    adjacency = [bytearray(n + 1) for _ in range(n + 1)]
+    rows = [[2 * nu - i + 1] if 1 <= i <= 2 * nu else [] for i in range(n + 1)]
     flows = assignment.flows
     tails, heads = net.tails, net.heads
     for k in range(net.arc_count):
         if flows[k] == 1 and 1 <= tails[k] <= n and n + 1 <= heads[k] <= 2 * n:
-            adjacency[tails[k]][heads[k] - n] = 1
-    for i in range(1, 2 * nu + 1):
-        adjacency[i][2 * nu - i + 1] = 1
-    bip = BipartiteRealization(n, 2 * nu, "mm", d.values, adjacency)
-    try:
-        bip.validate()
-    except ContractError as exc:
-        raise InternalError(f"saturating flow produced an invalid realization: {exc}") from exc
-    return bip
+            rows[tails[k]].append(heads[k] - n)
+    return _from_flow_rows(n, 2 * nu, "mm", d.values, rows)
 
 
 def round_bipartite_mm(bip: BipartiteRealization, checked: bool = False) -> Realization:
@@ -163,6 +171,11 @@ def round_bipartite_mm(bip: BipartiteRealization, checked: bool = False) -> Real
     if bip.mode != "mm":
         raise ContractError(f"expected a bipartite realization in mm mode, got {bip.mode!r}")
     bip.validate()
+    return _round_mm(bip, checked)
+
+
+def _round_mm(bip: BipartiteRealization, checked: bool) -> Realization:
+    """``round_bipartite_mm`` on a realization that is already validated."""
     n, two_nu = bip.n, bip.prefix
     degrees = bip.degrees
     hw = HalfWeights.from_bipartite_adjacency(n, degrees, bip.adjacency)
@@ -198,13 +211,14 @@ def realize_mm(d: DegreeSequence, checked: bool = False) -> Realization:
     if n < 2:
         return Realization(n + zeros, frozenset(), Matching(()))
     nu = mm_value(d)
-    assignment = max_flow(build_mm_flow(d, nu))
-    if assignment.value != d.total - 2 * nu:
+    value, rows, _ = _mm_flow(d, nu)
+    if value != d.total - 2 * nu:
         raise InternalError(
             f"reduction network for nu={nu} failed to saturate after the "
             f"value search claimed feasibility")
-    bip = extract_bipartite_mm(d, nu, assignment)
-    graph = round_bipartite_mm(bip, checked=checked)
+    for i in range(1, 2 * nu + 1):
+        rows[i].add(2 * nu - i + 1)
+    graph = _round_mm(_from_flow_rows(n, 2 * nu, "mm", d.values, rows), checked)
     if zeros == 0:
         return graph
     return Realization(n + zeros, graph.edges, graph.certificate)

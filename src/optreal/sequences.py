@@ -43,7 +43,7 @@ class DegreeSequence:
 
     def __post_init__(self):
         for i, v in enumerate(self.values):
-            if not isinstance(v, int) or v < 1:
+            if type(v) is not int or v < 1:  # exact int: bool and subclasses are rejected
                 raise DomainError(f"degree at position {i + 1} is {v!r}, expected a positive integer")
             if i > 0 and self.values[i - 1] < v:
                 raise DomainError("degrees must be sorted in non-increasing order")
@@ -56,7 +56,7 @@ class DegreeSequence:
         vals = []
         zeros = 0
         for v in degrees:
-            if not isinstance(v, int) or isinstance(v, bool):
+            if type(v) is not int:
                 raise DomainError(f"degree {v!r} is not an integer")
             if v < 0:
                 raise DomainError(f"degree {v} is negative")

@@ -3,7 +3,14 @@
 import itertools
 import random
 
+from hypothesis import settings
+
 from optreal import DegreeSequence, is_graphic
+
+# Property tests run the same examples on every run; another profile can be
+# chosen with pytest's --hypothesis-profile option.
+settings.register_profile("tier1", derandomize=True, database=None, deadline=None)
+settings.load_profile("tier1")
 
 
 def all_positive_sequences(n: int):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from optreal import (ContractError, DegreeSequence, DomainError,
-                     InfeasibleError, NotGraphicError, Realization,
+                     InfeasibleError, NetworkError, NotGraphicError, Realization,
                      build_mds_flow, extract_bipartite_mds, max_flow,
                      mds_feasible, mds_systems_hold, mds_value, oracle_mds,
                      realize_mds, round_bipartite_mds, verify_dominating)
@@ -123,6 +123,13 @@ def test_build_flow_arc_count_closed_form():
 def test_build_flow_gamma_range():
     with pytest.raises(DomainError):
         build_mds_flow(DS((2, 2, 2)), 0)
+
+
+def test_build_flow_capacity_beyond_int64():
+    with pytest.raises(NetworkError):
+        build_mds_flow(DS((10**20, 1)), 1)
+    # a degree >= n that fits keeps building a network that cannot saturate
+    assert max_flow(build_mds_flow(DS((5, 1)), 1)).value < 6
 
 
 # ----------------------------------------------------------------- extraction

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from optreal import (ContractError, DegreeSequence, DomainError,
-                     InfeasibleError, NotGraphicError, build_mm_flow,
+                     InfeasibleError, NetworkError, NotGraphicError, build_mm_flow,
                      extract_bipartite_mm, max_flow, mm_feasible, mm_value,
                      oracle_mm, realize_mm, round_bipartite_mm,
                      verify_matching)
@@ -49,6 +49,13 @@ def test_build_flow_nu_range():
         build_mm_flow(DS((2, 2, 2)), 2)
     with pytest.raises(DomainError):
         build_mm_flow(DS((2, 2, 2)), -1)
+
+
+def test_build_flow_capacity_beyond_int64():
+    with pytest.raises(NetworkError):
+        build_mm_flow(DS((10**20, 1)), 1)
+    # a degree >= n that fits keeps building a network that cannot saturate
+    assert max_flow(build_mm_flow(DS((5, 1)), 1)).value < 4
 
 
 # ---------------------------------------------------------------- feasibility

@@ -1,0 +1,151 @@
+"""The implicit reduction-network flow against the explicit reference.
+
+``realize_mds``/``realize_mm`` solve the reduction networks on their block
+pattern (``flow._reduction_max_flow``).  Here that flow is laid out in the
+arc order of ``build_mds_flow``/``build_mm_flow`` and compared with
+``max_flow`` on the built network arc for arc, saturating or not, and the
+realize witnesses are compared with the composed explicit route.
+"""
+
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from optreal import (BipartiteRealization, DegreeSequence, build_mds_flow,
+                     build_mm_flow, extract_bipartite_mds, extract_bipartite_mm, is_graphic,
+                     max_flow, mds_value, mm_value, realize_mds, realize_mm,
+                     round_bipartite_mds, round_bipartite_mm)
+from optreal.dominating import _mds_flow
+from optreal.matching import _mm_flow
+
+from conftest import all_positive_sequences
+
+DS = DegreeSequence
+
+
+def implicit_arc_flows(d: DegreeSequence, k: int, mds: bool, net):
+    """The implicit flow for (d, k) as (value, per-arc flows of ``net``).
+
+    Only unit arcs are returned by the solver; every other arc's flow
+    follows by conservation at x_i, x'_i, y'_j and y_j.
+    """
+    value, rows, sup_rows = (_mds_flow if mds else _mm_flow)(d, k)
+    n = d.n
+    r = n - k if mds else 0
+    xp0, yp0 = 2 * n - k, 2 * n + r - k  # x'_i = xp0 + i, y'_j = yp0 + j
+    col, sup_col = [0] * (n + 1), [0] * (n + 1)
+    for i in range(1, n + 1):
+        for j in rows[i]:
+            col[j] += 1
+        for j in sup_rows[i]:
+            sup_col[j] += 1
+    flows = []
+    for u, v, _ in net.iter_arcs():
+        if u == net.source:
+            f = len(rows[v]) + len(sup_rows[v])
+        elif v == net.sink:
+            f = col[u - n] + sup_col[u - n]
+        elif u <= n:
+            f = int(v - n in rows[u]) if v <= 2 * n else len(sup_rows[u])
+        elif u <= 2 * n + r:
+            f = int(v - yp0 in sup_rows[u - xp0])
+        else:
+            f = sup_col[u - yp0]
+        flows.append(f)
+    return value, flows
+
+
+def assert_same_flow(d: DegreeSequence, k: int, mds: bool) -> bool:
+    """Assert the implicit flow equals the explicit one; True if it saturates."""
+    net = (build_mds_flow if mds else build_mm_flow)(d, k)
+    reference = max_flow(net)
+    value, flows = implicit_arc_flows(d, k, mds, net)
+    assert value == reference.value, (d.values, k, mds)
+    assert flows == list(reference.flows), (d.values, k, mds)
+    return value == (d.total if mds else d.total - 2 * k)
+
+
+def test_implicit_flow_matches_explicit_exhaustive():
+    # every (d, k) with n <= 7 and degrees in [1, n - 1], graphic or not
+    saturated = {True: 0, False: 0}
+    for n in range(1, 8):
+        for d in all_positive_sequences(n):
+            for gamma in range(1, n + 1):
+                saturated[assert_same_flow(d, gamma, True)] += 1
+            for nu in range(n // 2 + 1):
+                saturated[assert_same_flow(d, nu, False)] += 1
+    assert saturated[True] and saturated[False]
+
+
+@st.composite
+def degree_sequences(draw, max_n=40):
+    """Positive degree sequences of several shapes, graphic or not."""
+    n = draw(st.integers(2, max_n))
+    shape = draw(st.sampled_from(("uniform", "ones", "near_regular", "star")))
+    if shape == "uniform":
+        cap = draw(st.integers(1, n - 1))
+        vals = draw(st.lists(st.integers(1, cap), min_size=n, max_size=n))
+    elif shape == "ones":
+        vals = [1] * n
+    elif shape == "near_regular":
+        k = draw(st.integers(1, n - 1))
+        vals = draw(st.lists(st.integers(max(k - 1, 1), k), min_size=n, max_size=n))
+    else:
+        hubs = draw(st.integers(1, max(n // 4, 1)))
+        vals = [n - 1] * hubs + draw(st.lists(st.integers(1, hubs), min_size=n - hubs,
+                                              max_size=n - hubs))
+    return DS(tuple(sorted(vals, reverse=True)))
+
+
+@st.composite
+def mds_cases(draw):
+    d = draw(degree_sequences())
+    return d, draw(st.integers(1, d.n))
+
+
+@st.composite
+def mm_cases(draw):
+    d = draw(degree_sequences())
+    return d, draw(st.integers(0, d.n // 2))
+
+
+@given(mds_cases())
+@example((DS((3, 3, 3, 1, 1, 1)), 2))   # gamma = 3: the counting bound 2 is loose
+@example((DS((4, 4, 4, 3, 1, 1, 1)), 2))
+@example((DS((3, 3, 3, 2, 1, 1)), 3))   # odd degree sum
+def test_implicit_mds_flow_matches_explicit(case):
+    assert_same_flow(*case, True)
+
+
+@given(mm_cases())
+@example((DS((3, 3, 3, 1, 1, 1)), 3))   # above mm_value = 2
+@example((DS((4, 4, 4, 3, 1, 1, 1)), 3))
+@example((DS((5, 1, 1, 1, 1, 1)), 3))   # a star matches one pair only
+def test_implicit_mm_flow_matches_explicit(case):
+    assert_same_flow(*case, False)
+
+
+@given(degree_sequences())
+@example(DS((3, 3, 3, 1, 1, 1)))
+@example(DS((4, 4, 4, 3, 1, 1, 1)))
+def test_realize_equals_explicit_route(d):
+    if not is_graphic(d):
+        return
+    gamma = mds_value(d)
+    bip = extract_bipartite_mds(d, gamma, max_flow(build_mds_flow(d, gamma)))
+    expected = round_bipartite_mds(bip)
+    assert realize_mds(d) == expected
+    nu = mm_value(d)
+    bip = extract_bipartite_mm(d, nu, max_flow(build_mm_flow(d, nu)))
+    expected = round_bipartite_mm(bip)
+    assert realize_mm(d) == expected
+
+
+def test_realize_validates_each_bipartite_realization_once(monkeypatch):
+    calls = []
+    validate = BipartiteRealization.validate
+    monkeypatch.setattr(BipartiteRealization, "validate",
+                        lambda bip: calls.append(bip.mode) or validate(bip))
+    d = DS((3, 3, 3, 1, 1, 1))
+    realize_mds(d)
+    realize_mm(d)
+    assert calls == ["mds", "mm"]

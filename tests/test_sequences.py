@@ -56,6 +56,10 @@ def test_direct_construction_validates():
         DegreeSequence((1, 2))  # not non-increasing
     with pytest.raises(DomainError):
         DegreeSequence((2, 0))  # zero not stripped
+    with pytest.raises(DomainError):
+        DegreeSequence((True, True))  # a bool is not a degree
+    with pytest.raises(DomainError):
+        DegreeSequence.from_degrees([True, True])
 
 
 def test_is_graphic_known_small_sequences():
