@@ -1,10 +1,11 @@
 """Bipartite realizations of a doubled degree sequence.
 
-These are the intermediate objects of both realization pipelines: an n-by-n
-0/1 incidence between a V-side and a W-side, both carrying the same degree
+These are the intermediate objects of both realization pipelines: a 0/1
+incidence between a V-side and a W-side, both carrying the same degree
 sequence, with a zero diagonal and one extra structural property depending
 on the mode (prefix domination for "mds", an inverted prefix matching for
-"mm").
+"mm").  The incidence is held sparsely, as the sorted list of W-side
+neighbours of each V-side vertex, so it takes O(n + sum(d)) space.
 """
 
 from __future__ import annotations
@@ -19,57 +20,83 @@ __all__ = ["BipartiteRealization"]
 
 @dataclass
 class BipartiteRealization:
-    """0/1 incidence matrix realizing (d, d) with a structural prefix property.
+    """Sparse 0/1 incidence realizing (d, d) with a structural prefix property.
 
-    ``adjacency`` is 1-based: row 0 and column 0 are unused padding.  In mds
-    mode ``prefix`` is the dominating prefix length gamma; in mm mode it is
-    2*nu, the number of matched positions.
+    ``rows[i]`` is the strictly increasing list of columns j with a one at
+    (i, j); vertices are 1-based and ``rows[0]`` is an empty placeholder.  In
+    mds mode ``prefix`` is the dominating prefix length gamma; in mm mode it
+    is 2*nu, the number of matched positions.
     """
 
     n: int
     prefix: int
     mode: Literal["mds", "mm"]
     degrees: tuple[int, ...]
-    adjacency: list[bytearray]
+    rows: list[list[int]]
+
+    @property
+    def adjacency(self) -> list[bytearray]:
+        """A fresh dense (n+1)-by-(n+1) 0/1 view of ``rows`` (row and column 0
+        unused); writing to it does not change the realization."""
+        n = self.n
+        adjacency = [bytearray(n + 1) for _ in range(n + 1)]
+        for row, cols in zip(adjacency, self.rows):
+            for j in cols:
+                row[j] = 1
+        return adjacency
 
     def validate(self):
-        """Raise ContractError unless the mode's structural properties hold."""
-        n, adj = self.n, self.adjacency
-        if len(self.degrees) != n or len(adj) != n + 1 or any(len(r) != n + 1 for r in adj):
-            raise ContractError("adjacency shape does not match n")
+        """Raise ContractError unless the mode's structural properties hold.
+
+        Runs in O(n + sum(d)): every row is scanned once.
+        """
+        n, rows = self.n, self.rows
+        if len(self.degrees) != n or not isinstance(rows, list) or len(rows) != n + 1:
+            raise ContractError("rows shape does not match n")
         if self.mode not in ("mds", "mm"):
             raise ContractError(f"unknown mode {self.mode!r}")
         if not (0 <= self.prefix <= n):
             raise ContractError(f"prefix {self.prefix} out of range")
+        if rows[0] != []:
+            raise ContractError("row 0 is not an empty list")
+        mds = self.mode == "mds"
+        prefix = self.prefix
         col = [0] * (n + 1)
+        reached = bytearray(n + 1)  # columns with a neighbor in rows 1..prefix
         for i in range(1, n + 1):
-            row = adj[i]
-            if row[i] != 0:
+            row = rows[i]
+            if not isinstance(row, list):
+                raise ContractError(f"row {i} is not a list")
+            prev = 0
+            for j in row:
+                if type(j) is not int or not prev < j <= n:
+                    raise ContractError(
+                        f"row {i} is not a strictly increasing list of columns in 1..{n}")
+                col[j] += 1
+                prev = j
+            if i in row:
                 raise ContractError(f"diagonal entry ({i}, {i}) is set")
-            s = 0
-            for j in range(1, n + 1):
-                v = row[j]
-                if v not in (0, 1):
-                    raise ContractError(f"entry ({i}, {j}) is {v}, expected 0/1")
-                s += v
-                col[j] += v
-            if s != self.degrees[i - 1]:
-                raise ContractError(f"row {i} sums to {s}, expected {self.degrees[i - 1]}")
+            if len(row) != self.degrees[i - 1]:
+                raise ContractError(
+                    f"row {i} sums to {len(row)}, expected {self.degrees[i - 1]}")
+            if not mds:
+                continue
+            if i <= prefix:
+                for j in row:
+                    reached[j] = 1
+            elif not row or row[0] > prefix:
+                raise ContractError(f"row {i} has no neighbor in the dominating prefix")
         for j in range(1, n + 1):
             if col[j] != self.degrees[j - 1]:
                 raise ContractError(f"column {j} sums to {col[j]}, expected {self.degrees[j - 1]}")
-        if self.mode == "mds":
-            gamma = self.prefix
-            for i in range(gamma + 1, n + 1):
-                if not any(adj[i][j] for j in range(1, gamma + 1)):
-                    raise ContractError(f"row {i} has no neighbor in the dominating prefix")
-                if not any(adj[j][i] for j in range(1, gamma + 1)):
-                    raise ContractError(f"column {i} has no neighbor in the dominating prefix")
+        if mds:
+            for j in range(prefix + 1, n + 1):
+                if not reached[j]:
+                    raise ContractError(f"column {j} has no neighbor in the dominating prefix")
         else:
-            two_nu = self.prefix
-            for i in range(1, two_nu + 1):
-                j = two_nu - i + 1
-                if adj[i][j] != 1:
+            for i in range(1, prefix + 1):
+                j = prefix - i + 1
+                if j not in rows[i]:
                     raise ContractError(f"inverted matching entry ({i}, {j}) missing")
 
 
@@ -78,15 +105,14 @@ def _from_flow_rows(n: int, prefix: int, mode: Literal["mds", "mm"],
     """The realization with ones at the columns ``rows[i]`` of each row i,
     read off a saturating flow and validated once.
 
-    A realization that fails validation means the flow was not the one the
-    reduction guarantees, which is a bug, so it raises InternalError.
+    Each ``rows[i]`` is replaced in place by its sorted list, so the flow's
+    column sets are released before rounding starts.  A realization that
+    fails validation means the flow was not the one the reduction
+    guarantees, which is a bug, so it raises InternalError.
     """
-    adjacency = [bytearray(n + 1) for _ in range(n + 1)]
     for i, cols in enumerate(rows):
-        row = adjacency[i]
-        for j in cols:
-            row[j] = 1
-    bip = BipartiteRealization(n, prefix, mode, degrees, adjacency)
+        rows[i] = sorted(cols)
+    bip = BipartiteRealization(n, prefix, mode, degrees, rows)
     try:
         bip.validate()
     except ContractError as exc:

@@ -24,7 +24,7 @@ import time
 from .dominating import mds_value, realize_mds, verify_dominating
 from .errors import DomainError, OptrealError
 from .matching import mm_value, realize_mm, verify_matching
-from .oracle import DEFAULT_LIMIT, oracle_mds, oracle_mm
+from .oracle import DEFAULT_LIMIT, MAX_LIMIT, oracle_mds, oracle_mm
 from .sequences import (DegreeSequence, DominatingSet, Matching, Realization,
                         is_graphic, parse_sequence)
 
@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("sequence")
     p.add_argument("--objective", choices=("mds", "mm"), required=True)
     p.add_argument("--limit", type=int, default=DEFAULT_LIMIT,
-                   help=f"enumeration vertex limit (default {DEFAULT_LIMIT})")
+                   help=f"enumeration vertex limit (default {DEFAULT_LIMIT}, at most {MAX_LIMIT})")
 
     return parser
 

@@ -255,7 +255,7 @@ def _round_mds(bip: BipartiteRealization, checked: bool) -> Realization:
     """``round_bipartite_mds`` on a realization that is already validated."""
     n, gamma = bip.n, bip.prefix
     degrees = bip.degrees
-    hw = HalfWeights.from_bipartite_adjacency(n, degrees, bip.adjacency)
+    hw = HalfWeights(n, degrees, bip.rows)
     if checked:
         _checked_state(hw, gamma)
 
@@ -297,8 +297,7 @@ def _round_mds(bip: BipartiteRealization, checked: bool) -> Realization:
     protected: set[tuple[int, int]] = set()
     triangles: list[tuple[int, int, int]] = []  # (a, s, b)
     for s in range(gamma + 1, n + 1):
-        row = hw.w[s]
-        full = next((x for x in range(1, gamma + 1) if row[x] == 2), None)
+        full = min((x for x, v in hw.w[s].items() if v == 2 and x <= gamma), default=None)
         if full is not None:
             protected.add((full, s))
             continue
@@ -313,7 +312,7 @@ def _round_mds(bip: BipartiteRealization, checked: bool) -> Realization:
 
     check = (lambda: _checked_state(hw, gamma)) if checked else None
     edges = round_half_weights(hw, protected, triangles, check)
-    graph = Realization.from_edges(n, edges, DominatingSet(tuple(range(1, gamma + 1))))
+    graph = Realization(n, frozenset(edges), DominatingSet(tuple(range(1, gamma + 1))))
     if graph.degrees() != degrees:
         raise InternalError("rounded graph does not carry the input degrees")
     if not verify_dominating(graph, range(1, gamma + 1)):
@@ -342,6 +341,7 @@ def realize_mds(d: DegreeSequence, checked: bool = False) -> Realization:
             f"value search claimed feasibility")
     for i in range(gamma + 1, n + 1):
         rows[i] |= sup_rows[i]
+    del sup_rows  # merged; release the sets before rounding
     graph = _round_mds(_from_flow_rows(n, gamma, "mds", d.values, rows), checked)
     if zeros == 0:
         return graph

@@ -178,7 +178,7 @@ def _round_mm(bip: BipartiteRealization, checked: bool) -> Realization:
     """``round_bipartite_mm`` on a realization that is already validated."""
     n, two_nu = bip.n, bip.prefix
     degrees = bip.degrees
-    hw = HalfWeights.from_bipartite_adjacency(n, degrees, bip.adjacency)
+    hw = HalfWeights(n, degrees, bip.rows)
 
     def checked_state():
         hw.assert_weighted_degrees()
@@ -190,7 +190,7 @@ def _round_mm(bip: BipartiteRealization, checked: bool) -> Realization:
 
     pairs = tuple((i, two_nu - i + 1) for i in range(1, two_nu // 2 + 1))
     edges = round_half_weights(hw, set(pairs), [], checked_state if checked else None)
-    graph = Realization.from_edges(n, edges, Matching(pairs))
+    graph = Realization(n, frozenset(edges), Matching(pairs))
     if graph.degrees() != degrees:
         raise InternalError("rounded graph does not carry the input degrees")
     if not verify_matching(graph, pairs):

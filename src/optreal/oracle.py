@@ -3,7 +3,11 @@
 Enumerates every labeled realization of a degree sequence and computes exact
 minimum-dominating-set and maximum-matching sizes per graph, so the optimized
 values over all realizations can be checked against the fast algorithms.
-Instances are capped at a configurable vertex limit (default 8).
+Instances are capped at a configurable vertex limit (default 8), which may
+not exceed MAX_LIMIT = 10.  The number of realizations grows exponentially
+with n: a 4-regular sequence has 19,355 labeled realizations at n = 8 and
+1,024,380 at n = 9, enumerated in ~0.6 s and ~27 s on a 2-core host, so a
+higher limit would admit inputs that do not finish.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from .sequences import DegreeSequence, Realization, is_graphic
 
 __all__ = [
     "DEFAULT_LIMIT",
+    "MAX_LIMIT",
     "enumerate_realizations",
     "exact_mds",
     "exact_mm",
@@ -24,6 +29,14 @@ __all__ = [
 ]
 
 DEFAULT_LIMIT = 8
+MAX_LIMIT = 10
+
+
+def _check_limit(n: int, limit: int):
+    if limit > MAX_LIMIT:
+        raise LimitError(f"enumeration limit {limit} exceeds the maximum {MAX_LIMIT}")
+    if n > limit:
+        raise LimitError(f"n={n} exceeds the enumeration limit {limit}")
 
 
 def _residuals_graphic(residuals: list[int]) -> bool:
@@ -51,8 +64,7 @@ def enumerate_realizations(d: DegreeSequence, limit: int = DEFAULT_LIMIT) -> Ite
     represented as vertices here.
     """
     n = d.n
-    if n > limit:
-        raise LimitError(f"n={n} exceeds the enumeration limit {limit}")
+    _check_limit(n, limit)
     residual = list(d.values)
     edges: list[tuple[int, int]] = []
 
@@ -135,8 +147,7 @@ def exact_mm(g: Realization) -> int:
 
 
 def _require_small_graphic(d: DegreeSequence, limit: int):
-    if d.n > limit:
-        raise LimitError(f"n={d.n} exceeds the enumeration limit {limit}")
+    _check_limit(d.n, limit)
     if not is_graphic(d):
         raise NotGraphicError(f"sequence {d.values} is not graphic")
 

@@ -23,45 +23,57 @@ __all__ = [
 ]
 
 
+class _Weights(dict):
+    """One vertex's nonzero half-unit weights; a missing pair reads as 0."""
+
+    __slots__ = ()
+
+    def __missing__(self, key):
+        return 0
+
+
 class HalfWeights:
     """Symmetric n-by-n half-unit weights with the half-weight subgraph tracked.
 
-    ``w`` is a list of bytearrays indexed 1..n (slot 0 unused), and
-    ``half_adj[i]`` is the set of j with w[i][j] == 1 half-unit.
+    ``w[i]`` (i in 1..n; slot 0 unused) maps each j with a nonzero weight
+    w[i][j] to it and reads 0 for every other j, so the whole table takes
+    O(n + sum(d)) space.  ``half_adj[i]`` is the set of j with w[i][j] == 1
+    half-unit.  Readers that choose among pairs take the least index, so
+    no result depends on the order in which pairs were stored.
     """
 
     __slots__ = ("n", "degrees", "w", "half_adj")
 
-    def __init__(self, n: int, degrees: tuple[int, ...]):
+    def __init__(self, n: int, degrees: tuple[int, ...], rows: list[list[int]]):
+        """Fold a sparse 0/1 bipartite incidence (``rows[i]`` lists the ones
+        of row i) into symmetric half-units: w[i][j] = A[i][j] + A[j][i]."""
         self.n = n
         self.degrees = degrees
-        self.w = [bytearray(n + 1) for _ in range(n + 1)]
-        self.half_adj: list[set[int]] = [set() for _ in range(n + 1)]
-
-    @classmethod
-    def from_bipartite_adjacency(cls, n: int, degrees: tuple[int, ...],
-                                 adjacency: list[bytearray]) -> "HalfWeights":
-        """Fold an n-by-n 0/1 bipartite incidence into symmetric half-units."""
-        hw = cls(n, degrees)
-        w = hw.w
-        half_adj = hw.half_adj
+        cols: list[list[int]] = [[] for _ in range(n + 1)]
         for i in range(1, n + 1):
-            row = adjacency[i]
-            wi = w[i]
-            for j in range(1, n + 1):
-                v = row[j] + adjacency[j][i]
-                wi[j] = v
-                if v == 1 and j > i:
-                    half_adj[i].add(j)
-                    half_adj[j].add(i)
-        return hw
+            for j in rows[i]:
+                cols[j].append(i)
+        self.w = [_Weights()]
+        self.half_adj: list[set[int]] = [set()]
+        for i in range(1, n + 1):
+            out_i, in_i = set(rows[i]), set(cols[i])
+            half = out_i ^ in_i
+            wi = _Weights.fromkeys(half, 1)
+            wi.update(dict.fromkeys(out_i & in_i, 2))
+            self.w.append(wi)
+            self.half_adj.append(half)
 
     def set_weight(self, i: int, j: int, value: int):
-        old = self.w[i][j]
+        wi, wj = self.w[i], self.w[j]
+        old = wi[j]
         if old == value:
             return
-        self.w[i][j] = value
-        self.w[j][i] = value
+        if value:
+            wi[j] = value
+            wj[i] = value
+        else:
+            del wi[j]
+            del wj[i]
         if old == 1:
             self.half_adj[i].discard(j)
             self.half_adj[j].discard(i)
@@ -70,23 +82,21 @@ class HalfWeights:
             self.half_adj[j].add(i)
 
     def integral_edges(self) -> list[tuple[int, int]]:
-        """All pairs (i < j) of weight 1 (two half-units)."""
+        """All pairs (i < j) of weight 1 (two half-units), in increasing order."""
         edges = []
-        n = self.n
-        for i in range(1, n + 1):
-            row = self.w[i]
-            j = row.find(2, i + 1)
-            while j != -1:
-                edges.append((i, j))
-                j = row.find(2, j + 1)
+        for i in range(1, self.n + 1):
+            upper = [j for j, v in self.w[i].items() if j > i and v == 2]
+            upper.sort()
+            edges += [(i, j) for j in upper]
         return edges
 
-    # Checked-mode invariants.  These scan the whole matrix and are meant for
-    # small instances; the pipelines call them only when checked=True.
+    # Checked-mode invariants.  Each reads every stored weight, and the
+    # pipelines call them after every modification when checked=True, so
+    # they are meant for small instances.
 
     def assert_weighted_degrees(self):
         for i in range(1, self.n + 1):
-            total = sum(self.w[i])
+            total = sum(self.w[i].values())
             if total != 2 * self.degrees[i - 1]:
                 raise InternalError(
                     f"weighted degree of vertex {i} is {total} half-units, "
@@ -99,8 +109,7 @@ class HalfWeights:
 
     def assert_domination_weight(self, gamma: int):
         for s in range(gamma + 1, self.n + 1):
-            row = self.w[s]
-            if sum(row[1:gamma + 1]) < 2:
+            if sum(v for x, v in self.w[s].items() if x <= gamma) < 2:
                 raise InternalError(
                     f"vertex {s} holds less than one unit of weight toward the prefix")
 

@@ -13,6 +13,11 @@ settings.register_profile("tier1", derandomize=True, database=None, deadline=Non
 settings.load_profile("tier1")
 
 
+def pytest_addoption(parser):
+    parser.addoption("--scale", action="store_true",
+                     help="also run the opt-in n = 10^4 realize test (tests/test_scale.py)")
+
+
 def all_positive_sequences(n: int):
     """Every non-increasing sequence of n degrees from [1, max(n-1, 1)]."""
     top = max(n - 1, 1)

@@ -140,6 +140,12 @@ def test_oracle_limit_flag():
     assert (code, out) == (0, "5\n")
 
 
+def test_oracle_limit_above_maximum_is_refused():
+    code, out, err = invoke(["oracle", "1 1", "--objective", "mds", "--limit", "11"])
+    assert (code, out) == (1, "")
+    assert err == "error: enumeration limit 11 exceeds the maximum 10\n"
+
+
 def test_sequence_from_file_and_stdin(tmp_path, monkeypatch):
     path = tmp_path / "seq.txt"
     path.write_text("2 2 2\n")

@@ -1,3 +1,4 @@
+import bisect
 import random
 
 import pytest
@@ -167,12 +168,8 @@ def test_extract_properties_hold():
 # ------------------------------------------------------------------- rounding
 
 def symmetric_bipartite(n, gamma, degrees):
-    adj = [bytearray(n + 1) for _ in range(n + 1)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                adj[i][j] = 1
-    return BipartiteRealization(n, gamma, "mds", degrees, adj)
+    rows = [[]] + [[j for j in range(1, n + 1) if j != i] for i in range(1, n + 1)]
+    return BipartiteRealization(n, gamma, "mds", degrees, rows)
 
 
 def test_round_symmetric_input_is_immediate():
@@ -199,16 +196,16 @@ def test_round_rejects_wrong_mode():
 
 def test_round_rejects_contract_violation():
     bip = symmetric_bipartite(3, 1, (2, 2, 2))
-    bip.adjacency[1][2] = 0  # break row/column sums
+    bip.rows[1].remove(2)  # break row/column sums
     with pytest.raises(ContractError):
         round_bipartite_mds(bip)
 
 
 def bip_from_entries(n, gamma, degrees, ones):
-    adj = [bytearray(n + 1) for _ in range(n + 1)]
-    for i, j in ones:
-        adj[i][j] = 1
-    return BipartiteRealization(n, gamma, "mds", degrees, adj)
+    rows = [[] for _ in range(n + 1)]
+    for i, j in sorted(ones):
+        rows[i].append(j)
+    return BipartiteRealization(n, gamma, "mds", degrees, rows)
 
 
 def test_round_triangle_protection_intersecting_cycles():
@@ -236,9 +233,10 @@ def test_round_triangle_protection_disjoint_cycles():
     assert verify_dominating(g, [1, 2])
 
 
-def two_by_two_swaps(adj, n, rng, steps, forbidden=frozenset()):
-    """Random degree-preserving rewires of a 0/1 incidence matrix that keep
-    the diagonal empty and never touch forbidden cells."""
+def two_by_two_swaps(rows, n, rng, steps, forbidden=frozenset()):
+    """Random degree-preserving rewires of a sparse 0/1 incidence (sorted
+    column lists per row) that keep the diagonal empty and never touch
+    forbidden cells."""
     for _ in range(steps):
         i, i2 = rng.randrange(1, n + 1), rng.randrange(1, n + 1)
         j, j2 = rng.randrange(1, n + 1), rng.randrange(1, n + 1)
@@ -246,9 +244,12 @@ def two_by_two_swaps(adj, n, rng, steps, forbidden=frozenset()):
             continue
         if any((a, b) in forbidden for a in (i, i2) for b in (j, j2)):
             continue
-        if adj[i][j] and adj[i2][j2] and not adj[i][j2] and not adj[i2][j]:
-            adj[i][j] = adj[i2][j2] = 0
-            adj[i][j2] = adj[i2][j] = 1
+        r, r2 = rows[i], rows[i2]
+        if j in r and j2 in r2 and j2 not in r and j not in r2:
+            r.remove(j)
+            r2.remove(j2)
+            bisect.insort(r, j2)
+            bisect.insort(r2, j)
 
 
 def test_round_swap_walked_inputs():
@@ -263,7 +264,7 @@ def test_round_swap_walked_inputs():
             continue
         gamma = rng.choice(gammas)
         bip = extract_bipartite_mds(d, gamma, max_flow(build_mds_flow(d, gamma)))
-        two_by_two_swaps(bip.adjacency, d.n, rng, rng.randint(0, 4 * d.n))
+        two_by_two_swaps(bip.rows, d.n, rng, rng.randint(0, 4 * d.n))
         try:
             bip.validate()
         except ContractError:

@@ -134,7 +134,7 @@ def test_extract_only_matching_edges():
     d = DS((1, 1))
     bip = extract_bipartite_mm(d, 1, max_flow(build_mm_flow(d, 1)))
     want = {(1, 2), (2, 1)}
-    got = {(i, j) for i in range(1, 3) for j in range(1, 3) if bip.adjacency[i][j]}
+    got = {(i, j) for i in range(1, 3) for j in bip.rows[i]}
     assert got == want
 
 
@@ -142,7 +142,7 @@ def test_extract_inverted_prefix_present():
     d = DS((1, 1, 1, 1))
     bip = extract_bipartite_mm(d, 2, max_flow(build_mm_flow(d, 2)))
     for i in range(1, 5):
-        assert bip.adjacency[i][5 - i] == 1
+        assert 5 - i in bip.rows[i]
 
 
 def test_extract_triangle_properties():
@@ -164,12 +164,8 @@ def test_extract_infeasible():
 # ------------------------------------------------------------------- rounding
 
 def test_round_symmetric_triangle():
-    adj = [bytearray(4) for _ in range(4)]
-    for i in range(1, 4):
-        for j in range(1, 4):
-            if i != j:
-                adj[i][j] = 1
-    bip = BipartiteRealization(3, 2, "mm", (2, 2, 2), adj)
+    rows = [[], [2, 3], [1, 3], [1, 2]]
+    bip = BipartiteRealization(3, 2, "mm", (2, 2, 2), rows)
     g = round_bipartite_mm(bip, checked=True)
     assert g.edges == frozenset({(1, 2), (1, 3), (2, 3)})
     assert g.certificate.pairs == ((1, 2),)
@@ -184,12 +180,8 @@ def test_round_forced_double_edge():
 
 
 def test_round_rejects_wrong_mode():
-    adj = [bytearray(4) for _ in range(4)]
-    for i in range(1, 4):
-        for j in range(1, 4):
-            if i != j:
-                adj[i][j] = 1
-    bip = BipartiteRealization(3, 1, "mds", (2, 2, 2), adj)
+    rows = [[], [2, 3], [1, 3], [1, 2]]
+    bip = BipartiteRealization(3, 1, "mds", (2, 2, 2), rows)
     with pytest.raises(ContractError):
         round_bipartite_mm(bip)
 
@@ -206,7 +198,7 @@ def test_round_swap_walked_inputs():
         nu = rng.choice(feasible)
         bip = extract_bipartite_mm(d, nu, max_flow(build_mm_flow(d, nu)))
         frozen = {(i, 2 * nu - i + 1) for i in range(1, 2 * nu + 1)}
-        two_by_two_swaps(bip.adjacency, d.n, rng, rng.randint(0, 4 * d.n), frozen)
+        two_by_two_swaps(bip.rows, d.n, rng, rng.randint(0, 4 * d.n), frozen)
         bip.validate()
         g = round_bipartite_mm(bip, checked=True)
         assert g.realizes(d)

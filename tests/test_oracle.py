@@ -6,7 +6,7 @@ import pytest
 
 from optreal import (DegreeSequence, LimitError, NotGraphicError, Realization,
                      exact_mds, exact_mm, oracle_mds, oracle_mm)
-from optreal.oracle import enumerate_realizations
+from optreal.oracle import MAX_LIMIT, enumerate_realizations
 
 def test_enumeration_counts():
     assert len(list(enumerate_realizations(DegreeSequence((2, 2, 2))))) == 1
@@ -85,6 +85,19 @@ def test_oracle_rejects_non_graphic():
 def test_oracle_limit():
     with pytest.raises(LimitError):
         oracle_mds(DegreeSequence((1,) * 10))
+
+
+def test_oracle_limit_capped():
+    # a limit above MAX_LIMIT is refused before anything is enumerated, even
+    # for a sequence small enough to run
+    assert MAX_LIMIT == 10
+    d = DegreeSequence((4,) * 11)
+    for call in (oracle_mds, oracle_mm, enumerate_realizations):
+        with pytest.raises(LimitError, match="exceeds the maximum"):
+            call(d, limit=MAX_LIMIT + 1)
+        with pytest.raises(LimitError, match="exceeds the maximum"):
+            call(DegreeSequence((1, 1)), limit=10**6)
+    assert oracle_mm(DegreeSequence((1, 1)), limit=MAX_LIMIT) == 1
 
 
 def test_oracle_counts_isolated_vertices():
