@@ -18,7 +18,8 @@ from .errors import (ContractError, DomainError, InfeasibleError,
 from .flow import FlowAssignment, FlowNetwork, _reduction_max_flow
 from .rounding import HalfWeights, round_half_weights
 from .sequences import (DegreeSequence, DominatingSet, Realization,
-                        _degree_reaches_n, _eg_inequalities_hold, is_graphic)
+                        _degree_reaches_n, _eg_inequalities_hold,
+                        _first_holding, _graphic_array, is_graphic)
 
 __all__ = [
     "build_mds_flow",
@@ -33,12 +34,14 @@ __all__ = [
 
 
 def _systems_hold(values: np.ndarray, gamma: int) -> bool:
-    """Evaluate the three constraint systems for a non-increasing array."""
+    """Evaluate the three constraint systems for a non-increasing array.
+
+    The degree-sum inequalities of ``values`` itself are not re-checked
+    here; callers that do not already know them to hold check them first.
+    """
     n = int(values.shape[0])
     if n == 0:
         return True
-    if not _eg_inequalities_hold(values):
-        return False
     prefix = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(values, out=prefix[1:])
     r = n - gamma
@@ -87,7 +90,8 @@ def mds_systems_hold(d: DegreeSequence, gamma: int) -> bool:
     _check_gamma(d, gamma)
     if _degree_reaches_n(d):
         return False
-    return _systems_hold(np.asarray(d.values, dtype=np.int64), gamma)
+    values = np.asarray(d.values, dtype=np.int64)
+    return _eg_inequalities_hold(values) and _systems_hold(values, gamma)
 
 
 def mds_feasible(d: DegreeSequence, gamma: int) -> bool:
@@ -102,30 +106,33 @@ def mds_feasible(d: DegreeSequence, gamma: int) -> bool:
         return True
     if d.total % 2 != 0 or _degree_reaches_n(d):
         return False
-    return _systems_hold(np.asarray(d.values, dtype=np.int64), gamma)
+    values = np.asarray(d.values, dtype=np.int64)
+    return _eg_inequalities_hold(values) and _systems_hold(values, gamma)
 
 
 def mds_value(d: DegreeSequence) -> int:
     """Smallest dominating-set size over all realizations of ``d``.
 
-    Binary search over the prefix length, justified by monotonicity: a
-    dominating prefix of length gamma is also one of length gamma + 1.
-    Stripped zero entries are isolated vertices and each adds one to the
-    result (they can only dominate themselves).
+    A set of k vertices dominates at most the sum of their d_i + 1, so no
+    gamma below the counting bound ``min{k : sum(d_i + 1 for i <= k) >= n}``
+    can be feasible.  The search starts at that bound and gallops upward;
+    feasibility is monotone (a dominating prefix of length gamma is also
+    one of length gamma + 1) and gamma = n always holds.  The bound is
+    exact on most inputs, and then one probe decides the value.  Each probe
+    evaluates the constraint systems alone: the degree-sum inequalities
+    hold because ``d`` is graphic.  Stripped zero entries are isolated
+    vertices and each adds one to the result (they can only dominate
+    themselves).
     """
-    if not is_graphic(d):
+    values = _graphic_array(d)
+    if values is None:
         raise NotGraphicError(f"sequence {d.values} is not graphic")
-    if d.n == 0:
+    n = d.n
+    if n == 0:
         return d.zero_count
-    values = np.asarray(d.values, dtype=np.int64)
-    lo, hi = 1, d.n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if _systems_hold(values, mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo + d.zero_count
+    # the full sum of d_i + 1 is at least 2n, so the bound lies in [1, n]
+    bound = int(np.searchsorted(np.cumsum(values + 1), n)) + 1
+    return _first_holding(lambda gamma: _systems_hold(values, gamma), bound, n) + d.zero_count
 
 
 def build_mds_flow(d: DegreeSequence, gamma: int) -> FlowNetwork:

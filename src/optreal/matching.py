@@ -28,7 +28,8 @@ from .errors import (ContractError, DomainError, FlipError, InfeasibleError,
 from .flow import FlowAssignment, FlowNetwork, _reduction_max_flow
 from .rounding import HalfWeights, round_half_weights
 from .sequences import (DegreeSequence, Matching, Realization,
-                        _eg_inequalities_hold, is_graphic)
+                        _eg_inequalities_hold, _first_holding, _graphic_array,
+                        is_graphic)
 
 __all__ = [
     "build_mm_flow",
@@ -90,13 +91,29 @@ def _mm_flow(d: DegreeSequence, nu: int):
     return _reduction_max_flow(d.n, d.n, caps, partner)
 
 
-def _mm_feasible_reduction(d: DegreeSequence, nu: int) -> bool:
-    arr = np.asarray(d.values, dtype=np.int64).copy()
-    arr[:2 * nu] -= 1
-    arr = np.sort(arr)[::-1]
-    arr = arr[arr > 0]
-    # parity is inherited: d graphic means sum(d) even, and 2*nu is even
-    return _eg_inequalities_hold(arr)
+def _mm_feasible_reduction(values: np.ndarray, nu: int) -> bool:
+    """Graphicality of a graphic non-increasing ``values`` with its top
+    2*nu entries lowered by one.
+
+    Lowering the top 2*nu entries breaks the order only inside the run of
+    entries equal to x = values[2*nu - 1] that straddles position 2*nu.
+    Lowering the tail of that run instead gives the same multiset, still
+    non-increasing, so no sort is needed.
+    """
+    two_nu = 2 * nu
+    if two_nu == 0:
+        return _eg_inequalities_hold(values)
+    n = values.shape[0]
+    asc = values[::-1]
+    x = values[two_nu - 1]
+    above = n - int(np.searchsorted(asc, x, side="right"))   # entries > x
+    end = n - int(np.searchsorted(asc, x, side="left"))      # entries >= x
+    arr = values.copy()
+    arr[:above] -= 1
+    arr[end - (two_nu - above):end] -= 1
+    # entries lowered to zero sit at the end; parity is inherited: d graphic
+    # means sum(d) even, and 2*nu is even
+    return _eg_inequalities_hold(arr[:np.count_nonzero(arr)])
 
 
 def mm_feasible(d: DegreeSequence, nu: int) -> bool:
@@ -107,32 +124,27 @@ def mm_feasible(d: DegreeSequence, nu: int) -> bool:
     prefix-reduction graphicality test instead of the flow.
     """
     _check_nu(d, nu)
-    if not is_graphic(d):
+    values = _graphic_array(d)
+    if values is None:
         raise NotGraphicError(f"sequence {d.values} is not graphic")
-    return _mm_feasible_reduction(d, nu)
+    return _mm_feasible_reduction(values, nu)
 
 
 def mm_value(d: DegreeSequence) -> int:
     """Largest matching size over all realizations of ``d``.
 
-    Binary search over nu in [0, n // 2]; feasibility is monotone
-    (a matching of size nu contains one of size nu - 1).  Size-zero
-    matchings are always feasible, so the search is well anchored.
-    Stripped zero entries never participate in a matching.
+    No matching is larger than n // 2, so the search starts there and
+    gallops downward; feasibility is monotone (a matching of size nu
+    contains one of size nu - 1) and size zero always holds.  On most
+    inputs some realization has a (near-)perfect matching, and then one
+    probe decides the value.  Stripped zero entries never participate in
+    a matching.
     """
-    if not is_graphic(d):
+    values = _graphic_array(d)
+    if values is None:
         raise NotGraphicError(f"sequence {d.values} is not graphic")
-    n = d.n
-    if n < 2:
-        return 0
-    lo, hi = 0, n // 2
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if _mm_feasible_reduction(d, mid):
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    half = d.n // 2
+    return half - _first_holding(lambda k: _mm_feasible_reduction(values, half - k), 0, half)
 
 
 def extract_bipartite_mm(d: DegreeSequence, nu: int,

@@ -123,9 +123,14 @@ def exact_mds(g: Realization) -> int:
 
 
 def exact_mm(g: Realization) -> int:
-    """Exact maximum matching size by branching over edges with pruning."""
+    """Exact maximum matching size by branching over edges with pruning.
+
+    The search stops as soon as a matching covers all but at most one of
+    the vertices that have an edge, since none can be larger.
+    """
     edges = sorted(g.edges)
     m = len(edges)
+    perfect = len({w for e in edges for w in e}) // 2
     best = 0
 
     def branch(idx: int, used: int, size: int):
@@ -133,7 +138,7 @@ def exact_mm(g: Realization) -> int:
         if size > best:
             best = size
         # remaining edges bound
-        if size + (m - idx) <= best:
+        if best == perfect or size + (m - idx) <= best:
             return
         for k in range(idx, m):
             u, v = edges[k]
@@ -141,6 +146,8 @@ def exact_mm(g: Realization) -> int:
             if used & bit:
                 continue
             branch(k + 1, used | bit, size + 1)
+            if best == perfect:
+                return
 
     branch(0, 0, 0)
     return best

@@ -8,7 +8,6 @@ about isolated vertices can add them back.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -26,9 +25,6 @@ __all__ = [
     "is_graphic",
     "parse_sequence",
 ]
-
-_TOKEN_SPLIT = re.compile(r"[\s,]+")
-
 
 @dataclass(frozen=True)
 class DegreeSequence:
@@ -67,6 +63,26 @@ class DegreeSequence:
         vals.sort(reverse=True)
         return cls(tuple(vals), zeros)
 
+    @classmethod
+    def _from_array(cls, desc: np.ndarray, zero_count: int) -> "DegreeSequence":
+        """Build from a non-increasing int64 array of positive degrees.
+
+        Checks what ``__post_init__`` checks, with numpy instead of a loop
+        per entry: ``tolist`` of an int64 array yields exact ints.
+        """
+        if desc.dtype != np.int64 or desc.ndim != 1:
+            raise DomainError("degrees must be a one-dimensional int64 array")
+        if np.any(desc[:-1] < desc[1:]):
+            raise DomainError("degrees must be sorted in non-increasing order")
+        if desc.size and desc[-1] < 1:
+            raise DomainError("degrees must be positive")
+        if zero_count < 0:
+            raise DomainError("zero_count must be non-negative")
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "values", tuple(desc.tolist()))
+        object.__setattr__(seq, "zero_count", zero_count)
+        return seq
+
     @property
     def n(self) -> int:
         """Number of positive-degree vertices."""
@@ -95,17 +111,34 @@ def parse_sequence(text: str) -> DegreeSequence:
     Input order is not preserved: the result is sorted non-increasing with
     zeros stripped (and counted).  Raises ParseError for non-integer tokens
     and DomainError for negative entries or empty input.
+
+    Fast path: one split and one ``np.array`` call, which reads each token
+    as ``int()`` does (signs, leading zeros, underscores, any Unicode
+    decimal digits).  If numpy rejects a token -- not an integer, or outside
+    int64 -- the tokens go through ``int()`` one by one instead: that raises
+    the ParseError naming the first bad token, or keeps a degree too big for
+    int64 as a Python int (at least n, so ``is_graphic`` rejects it before
+    any fixed-width conversion).  A negative entry goes through
+    ``from_degrees``, which names the first one.
     """
-    tokens = [t for t in _TOKEN_SPLIT.split(text.strip()) if t]
+    tokens = text.replace(",", " ").split()
     if not tokens:
         raise DomainError("empty degree sequence input")
-    degrees = []
-    for tok in tokens:
-        try:
-            degrees.append(int(tok))
-        except ValueError:
-            raise ParseError(f"token {tok!r} is not an integer") from None
-    return DegreeSequence.from_degrees(degrees)
+    try:
+        arr = np.array(tokens, dtype=np.int64)
+    except (ValueError, OverflowError):
+        degrees = []
+        for tok in tokens:
+            try:
+                degrees.append(int(tok))
+            except ValueError:
+                raise ParseError(f"token {tok!r} is not an integer") from None
+        return DegreeSequence.from_degrees(degrees)
+    del tokens
+    if arr.min() < 0:
+        return DegreeSequence.from_degrees(arr.tolist())
+    positive = np.sort(arr[arr > 0])[::-1]
+    return DegreeSequence._from_array(positive, arr.size - positive.size)
 
 
 def format_sequence(d: DegreeSequence) -> str:
@@ -145,18 +178,50 @@ def _degree_reaches_n(d: DegreeSequence) -> bool:
     return d.n > 0 and d.values[0] >= d.n
 
 
+def _graphic_array(d: DegreeSequence) -> Optional[np.ndarray]:
+    """``d.values`` as an int64 array if ``d`` is graphic, else None."""
+    if _degree_reaches_n(d):
+        return None
+    arr = np.asarray(d.values, dtype=np.int64)
+    if int(arr.sum()) % 2 != 0 or not _eg_inequalities_hold(arr):
+        return None
+    return arr
+
+
 def is_graphic(d: DegreeSequence) -> bool:
     """Decide whether some simple graph has exactly these vertex degrees.
 
     True iff the degree sum is even and every prefix inequality
     ``sum(d[:k]) <= k(k-1) + sum(min(k, d_i) for i > k)`` holds.
     """
-    if _degree_reaches_n(d):
-        return False
-    arr = np.asarray(d.values, dtype=np.int64)
-    if int(arr.sum()) % 2 != 0:
-        return False
-    return _eg_inequalities_hold(arr)
+    return _graphic_array(d) is not None
+
+
+def _first_holding(holds, lo: int, hi: int) -> int:
+    """Smallest x in [lo, hi] with ``holds(x)``, for a monotone predicate
+    (false, then true) known to fail below lo and to hold at hi.
+
+    Gallops upward from lo -- probing lo, lo + 2, lo + 6, lo + 14, ... --
+    then bisects the last gap, so an answer at lo costs one probe and an
+    answer t steps above it O(log t) probes.  hi itself is never probed.
+    """
+    step = 1
+    while lo < hi:
+        probe = lo + step - 1
+        if probe >= hi:
+            break
+        if holds(probe):
+            hi = probe
+            break
+        lo = probe + 1
+        step *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 class DominatingSet(NamedTuple):

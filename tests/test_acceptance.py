@@ -14,7 +14,7 @@ import pytest
 
 from optreal import (DegreeSequence, InternalError, build_mds_flow, is_graphic,
                      max_flow, mds_feasible, mds_systems_hold, mds_value,
-                     mm_value, oracle_mds, oracle_mm, realize_mds, realize_mm,
+                     mm_feasible, mm_value, oracle_mds, oracle_mm, realize_mds, realize_mm,
                      verify_dominating, verify_matching)
 from optreal.cli import run as cli_run
 
@@ -44,13 +44,10 @@ class criterion:
         return False
 
 
-def _sequence_set(seed=20260810):
-    """Instance set shared by criteria 2, 3 and 5: exhaustive n <= 6 plus
-    200 seeded random graphic sequences with n = 7."""
-    seqs = list(graphic_sequences_upto(6))
-    rng = random.Random(seed)
-    seqs.extend(random_graphic_sequence(rng, 7) for _ in range(200))
-    return seqs
+def _sequence_set():
+    """Instance set shared by criteria 2, 3 and 5: every graphic sequence of
+    positive degrees with n <= 7 (240 of them at n = 7)."""
+    return list(graphic_sequences_upto(7))
 
 
 def test_criterion_1_graphicality_examples():
@@ -67,11 +64,14 @@ def test_criterion_2_oracle_equivalence_mds():
         for d in seqs:
             value = mds_value(d)
             assert value == oracle_mds(d), d.values
+            for gamma in range(d.n + 1):
+                assert mds_feasible(d, gamma) == (gamma >= value), (d.values, gamma)
             g = realize_mds(d)
             assert g.realizes(d), d.values
             assert verify_dominating(g, g.certificate.vertices), d.values
             assert len(g.certificate.vertices) == value, d.values
-        c.detail = f"{len(seqs)} sequences (exhaustive n<=6 + 200 random n=7), exact"
+        c.detail = (f"{len(seqs)} sequences (exhaustive n<=7), mds_feasible at every "
+                    f"gamma, exact")
 
 
 def test_criterion_3_oracle_equivalence_mm():
@@ -80,13 +80,16 @@ def test_criterion_3_oracle_equivalence_mm():
         for d in seqs:
             value = mm_value(d)
             assert value == oracle_mm(d), d.values
+            for nu in range(d.n // 2 + 1):
+                assert mm_feasible(d, nu) == (nu <= value), (d.values, nu)
             g = realize_mm(d)
             assert g.realizes(d), d.values
             assert verify_matching(g, g.certificate.pairs), d.values
             assert len(g.certificate.pairs) == value, d.values
             want = tuple((i, 2 * value - i + 1) for i in range(1, value + 1))
             assert g.certificate.pairs == want, d.values
-        c.detail = f"{len(seqs)} sequences, certificates in inverted-prefix form, exact"
+        c.detail = (f"{len(seqs)} sequences (exhaustive n<=7), mm_feasible at every nu, "
+                    f"certificates in inverted-prefix form, exact")
 
 
 def test_criterion_4_characterization_flow_equivalence():

@@ -8,6 +8,9 @@ from optreal import (DegreeSequence, LimitError, NotGraphicError, Realization,
                      exact_mds, exact_mm, oracle_mds, oracle_mm)
 from optreal.oracle import MAX_LIMIT, enumerate_realizations
 
+from conftest import graphic_sequences_upto
+
+
 def test_enumeration_counts():
     assert len(list(enumerate_realizations(DegreeSequence((2, 2, 2))))) == 1
     assert len(list(enumerate_realizations(DegreeSequence((1, 1, 1, 1))))) == 3
@@ -67,6 +70,18 @@ def test_exact_mm_matches_blossom_matcher():
         h.add_edges_from(edges)
         want = len(nx.max_weight_matching(h, maxcardinality=True))
         assert exact_mm(g) == want
+
+
+def test_exact_mm_matches_blossom_matcher_on_every_enumerated_graph():
+    # exact_mm stops early at a matching covering all non-isolated vertices
+    # (but one); every graph the n <= 6 enumeration yields checks the stop
+    graphs = 0
+    for d in graphic_sequences_upto(6):
+        for g in enumerate_realizations(d):
+            h = nx.Graph(list(g.edges))
+            assert exact_mm(g) == len(nx.max_weight_matching(h, maxcardinality=True)), g
+            graphs += 1
+    assert graphs == 935
 
 
 def test_oracle_values():
