@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from .errors import ContractError, InternalError
+from .flow import _reduction_max_flow
 
 __all__ = ["BipartiteRealization"]
 
@@ -118,3 +119,24 @@ def _from_flow_rows(n: int, prefix: int, mode: Literal["mds", "mm"],
     except ContractError as exc:
         raise InternalError(f"saturating flow produced an invalid realization: {exc}") from exc
     return bip
+
+
+def _from_reduction_flow(n: int, prefix: int, mode: Literal["mds", "mm"],
+                         degrees: tuple[int, ...], flow_prefix: int, caps,
+                         partner) -> BipartiteRealization:
+    """``_from_flow_rows`` on the maximum flow of the reduction network with
+    pattern (``flow_prefix``, ``caps``, ``partner``); see
+    ``flow._reduction_max_flow``.  Row i also takes its x'_i -> y'_j units
+    and its ``partner[i]``, a pair the network omits.  The value search
+    found the network feasible, so a flow short of ``sum(caps)`` is a bug."""
+    value, rows, sup_rows = _reduction_max_flow(n, flow_prefix, caps, partner)
+    if value != sum(caps):
+        raise InternalError(
+            f"{mode} reduction network with prefix {prefix} carries {value} of "
+            f"{sum(caps)} units after the value search claimed feasibility")
+    for i in range(1, n + 1):
+        rows[i] |= sup_rows[i]
+        if partner[i]:
+            rows[i].add(partner[i])
+    del sup_rows  # merged; release the sets before rounding
+    return _from_flow_rows(n, prefix, mode, degrees, rows)

@@ -25,8 +25,8 @@ from .dominating import mds_value, realize_mds, verify_dominating
 from .errors import DomainError, OptrealError
 from .matching import mm_value, realize_mm, verify_matching
 from .oracle import DEFAULT_LIMIT, MAX_LIMIT, oracle_mds, oracle_mm
-from .sequences import (DegreeSequence, DominatingSet, Matching, Realization,
-                        is_graphic, parse_sequence)
+from .sequences import (DegreeSequence, Realization, is_graphic,
+                        parse_sequence)
 
 __all__ = ["main"]
 
@@ -46,26 +46,18 @@ def _full_degrees(d: DegreeSequence) -> list[int]:
     return list(d.values) + [0] * d.zero_count
 
 
-def _report(d: DegreeSequence, objective: str, value=None, graph: Realization | None = None,
-            started: float | None = None) -> dict:
-    report = {
+def _report(d: DegreeSequence, objective: str, graph: Realization, label: str,
+            members: list, started: float) -> dict:
+    return {
         "n": d.total_vertices,
         "degrees": _full_degrees(d),
-        "graphic": is_graphic(d),
+        "graphic": True,  # realize raised NotGraphicError otherwise
         "objective": objective,
-        "value": value,
-        "edges": None,
-        "certificate": None,
-        "timing_ms": round((time.perf_counter() - started) * 1000.0, 3) if started else 0.0,
+        "value": len(members),
+        "edges": [[u, v] for u, v in sorted(graph.edges)],
+        "certificate": {"type": label, "members": members},
+        "timing_ms": round((time.perf_counter() - started) * 1000.0, 3),
     }
-    if graph is not None:
-        report["edges"] = [[u, v] for u, v in sorted(graph.edges)]
-        cert = graph.certificate
-        if isinstance(cert, DominatingSet):
-            report["certificate"] = {"type": "dominating-set", "members": list(cert.vertices)}
-        elif isinstance(cert, Matching):
-            report["certificate"] = {"type": "matching", "members": [[a, b] for a, b in cert.pairs]}
-    return report
 
 
 def _print_edges(graph: Realization, out):
@@ -82,33 +74,32 @@ def _cmd_check(args, out) -> int:
     return 1
 
 
+# objective -> (value function, realize function, certificate label, the
+# certificate's members as JSON values, one member as text)
+_OBJECTIVES = {
+    "mds": (mds_value, realize_mds, "dominating-set", lambda cert: list(cert.vertices), str),
+    "mm": (mm_value, realize_mm, "matching", lambda cert: [list(p) for p in cert.pairs],
+           lambda pair: f"({pair[0]},{pair[1]})"),
+}
+
+
 def _cmd_value(args, out, objective: str) -> int:
     d = _load_sequence(args.sequence)
-    value = mds_value(d) if objective == "mds" else mm_value(d)
-    print(value, file=out)
+    print(_OBJECTIVES[objective][0](d), file=out)
     return 0
 
 
 def _cmd_realize(args, out, objective: str) -> int:
     started = time.perf_counter()
     d = _load_sequence(args.sequence)
-    if objective == "mds":
-        graph = realize_mds(d)
-        value = len(graph.certificate.vertices)
-    else:
-        graph = realize_mm(d)
-        value = len(graph.certificate.pairs)
+    _, realize, label, members_of, member_text = _OBJECTIVES[objective]
+    graph = realize(d)
+    members = members_of(graph.certificate)
     if args.json:
-        print(json.dumps(_report(d, objective, value, graph, started)), file=out)
+        print(json.dumps(_report(d, objective, graph, label, members, started)), file=out)
         return 0
     _print_edges(graph, out)
-    if objective == "mds":
-        members = " ".join(str(v) for v in graph.certificate.vertices)
-        label = "dominating-set"
-    else:
-        members = " ".join(f"({a},{b})" for a, b in graph.certificate.pairs)
-        label = "matching"
-    print(f"{label}: {members}" if members else f"{label}:", file=out)
+    print(" ".join([f"{label}:"] + [member_text(m) for m in members]), file=out)
     return 0
 
 

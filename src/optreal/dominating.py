@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bipartite import BipartiteRealization, _from_flow_rows
+from .bipartite import (BipartiteRealization, _from_flow_rows,
+                        _from_reduction_flow)
 from .errors import (ContractError, DomainError, InfeasibleError,
-                     InternalError, NotGraphicError)
-from .flow import FlowAssignment, FlowNetwork, _reduction_max_flow
+                     InternalError)
+from .flow import FlowAssignment, FlowNetwork
 from .rounding import HalfWeights, round_half_weights
 from .sequences import (DegreeSequence, DominatingSet, Realization,
                         _degree_reaches_n, _eg_inequalities_hold,
-                        _first_holding, _graphic_array, is_graphic)
+                        _first_holding, _require_graphic)
 
 __all__ = [
     "build_mds_flow",
@@ -101,13 +102,7 @@ def mds_feasible(d: DegreeSequence, gamma: int) -> bool:
     degree sum (an odd sum admits no realization at all, although the
     bipartite doubled problem may still be feasible).
     """
-    _check_gamma(d, gamma)
-    if d.n == 0:
-        return True
-    if d.total % 2 != 0 or _degree_reaches_n(d):
-        return False
-    values = np.asarray(d.values, dtype=np.int64)
-    return _eg_inequalities_hold(values) and _systems_hold(values, gamma)
+    return mds_systems_hold(d, gamma) and d.total % 2 == 0
 
 
 def mds_value(d: DegreeSequence) -> int:
@@ -124,15 +119,17 @@ def mds_value(d: DegreeSequence) -> int:
     vertices and each adds one to the result (they can only dominate
     themselves).
     """
-    values = _graphic_array(d)
-    if values is None:
-        raise NotGraphicError(f"sequence {d.values} is not graphic")
-    n = d.n
+    return _mds_search(_require_graphic(d)) + d.zero_count
+
+
+def _mds_search(values: np.ndarray) -> int:
+    """``mds_value`` of the graphic non-increasing positive ``values``."""
+    n = int(values.shape[0])
     if n == 0:
-        return d.zero_count
+        return 0
     # the full sum of d_i + 1 is at least 2n, so the bound lies in [1, n]
     bound = int(np.searchsorted(np.cumsum(values + 1), n)) + 1
-    return _first_holding(lambda gamma: _systems_hold(values, gamma), bound, n) + d.zero_count
+    return _first_holding(lambda gamma: _systems_hold(values, gamma), bound, n)
 
 
 def build_mds_flow(d: DegreeSequence, gamma: int) -> FlowNetwork:
@@ -178,12 +175,6 @@ def build_mds_flow(d: DegreeSequence, gamma: int) -> FlowNetwork:
             yield (n + j, sink, vals[j - 1])
 
     return FlowNetwork(2 * n + 2 * r + 2, source, sink, arcs())
-
-
-def _mds_flow(d: DegreeSequence, gamma: int):
-    """``max_flow(build_mds_flow(d, gamma))`` without building the network,
-    as (value, rows, sup_rows) of ``flow._reduction_max_flow``."""
-    return _reduction_max_flow(d.n, gamma, (0,) + d.values, [0] * (d.n + 1))
 
 
 def extract_bipartite_mds(d: DegreeSequence, gamma: int,
@@ -261,8 +252,7 @@ def round_bipartite_mds(bip: BipartiteRealization, checked: bool = False) -> Rea
 def _round_mds(bip: BipartiteRealization, checked: bool) -> Realization:
     """``round_bipartite_mds`` on a realization that is already validated."""
     n, gamma = bip.n, bip.prefix
-    degrees = bip.degrees
-    hw = HalfWeights(n, degrees, bip.rows)
+    hw = HalfWeights(n, bip.degrees, bip.rows)
     if checked:
         _checked_state(hw, gamma)
 
@@ -318,10 +308,8 @@ def _round_mds(bip: BipartiteRealization, checked: bool) -> Realization:
         triangles.append((a, s, b))
 
     check = (lambda: _checked_state(hw, gamma)) if checked else None
-    edges = round_half_weights(hw, protected, triangles, check)
-    graph = Realization(n, frozenset(edges), DominatingSet(tuple(range(1, gamma + 1))))
-    if graph.degrees() != degrees:
-        raise InternalError("rounded graph does not carry the input degrees")
+    graph = round_half_weights(hw, protected, triangles, check,
+                               DominatingSet(tuple(range(1, gamma + 1))))
     if not verify_dominating(graph, range(1, gamma + 1)):
         raise InternalError("rounded graph is not dominated by its prefix")
     return graph
@@ -333,23 +321,12 @@ def realize_mds(d: DegreeSequence, checked: bool = False) -> Realization:
     The certificate lists the dominating prefix (plus any isolated vertices
     from stripped zero entries, appended after the positive-degree ones).
     """
-    if not is_graphic(d):
-        raise NotGraphicError(f"sequence {d.values} is not graphic")
     n = d.n
+    gamma = _mds_search(_require_graphic(d))
+    bip = _from_reduction_flow(n, gamma, "mds", d.values, gamma,
+                               (0,) + d.values, [0] * (n + 1))
+    graph = _round_mds(bip, checked)
     zeros = d.zero_count
-    if n == 0:
-        return Realization(zeros, frozenset(),
-                           DominatingSet(tuple(range(1, zeros + 1))))
-    gamma = mds_value(d) - zeros
-    value, rows, sup_rows = _mds_flow(d, gamma)
-    if value != d.total:
-        raise InternalError(
-            f"reduction network for gamma={gamma} failed to saturate after the "
-            f"value search claimed feasibility")
-    for i in range(gamma + 1, n + 1):
-        rows[i] |= sup_rows[i]
-    del sup_rows  # merged; release the sets before rounding
-    graph = _round_mds(_from_flow_rows(n, gamma, "mds", d.values, rows), checked)
     if zeros == 0:
         return graph
     certificate = DominatingSet(tuple(range(1, gamma + 1))

@@ -22,14 +22,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bipartite import BipartiteRealization, _from_flow_rows
+from .bipartite import (BipartiteRealization, _from_flow_rows,
+                        _from_reduction_flow)
 from .errors import (ContractError, DomainError, FlipError, InfeasibleError,
-                     InternalError, NotGraphicError)
-from .flow import FlowAssignment, FlowNetwork, _reduction_max_flow
+                     InternalError)
+from .flow import FlowAssignment, FlowNetwork
 from .rounding import HalfWeights, round_half_weights
 from .sequences import (DegreeSequence, Matching, Realization,
-                        _eg_inequalities_hold, _first_holding, _graphic_array,
-                        is_graphic)
+                        _eg_inequalities_hold, _first_holding,
+                        _require_graphic)
 
 __all__ = [
     "build_mm_flow",
@@ -84,13 +85,6 @@ def _mm_pattern(d: DegreeSequence, nu: int) -> tuple[list[int], list[int]]:
     return caps, partner
 
 
-def _mm_flow(d: DegreeSequence, nu: int):
-    """``max_flow(build_mm_flow(d, nu))`` without building the network, as
-    (value, rows, sup_rows) of ``flow._reduction_max_flow``."""
-    caps, partner = _mm_pattern(d, nu)
-    return _reduction_max_flow(d.n, d.n, caps, partner)
-
-
 def _mm_feasible_reduction(values: np.ndarray, nu: int) -> bool:
     """Graphicality of a graphic non-increasing ``values`` with its top
     2*nu entries lowered by one.
@@ -124,10 +118,7 @@ def mm_feasible(d: DegreeSequence, nu: int) -> bool:
     prefix-reduction graphicality test instead of the flow.
     """
     _check_nu(d, nu)
-    values = _graphic_array(d)
-    if values is None:
-        raise NotGraphicError(f"sequence {d.values} is not graphic")
-    return _mm_feasible_reduction(values, nu)
+    return _mm_feasible_reduction(_require_graphic(d), nu)
 
 
 def mm_value(d: DegreeSequence) -> int:
@@ -140,10 +131,12 @@ def mm_value(d: DegreeSequence) -> int:
     probe decides the value.  Stripped zero entries never participate in
     a matching.
     """
-    values = _graphic_array(d)
-    if values is None:
-        raise NotGraphicError(f"sequence {d.values} is not graphic")
-    half = d.n // 2
+    return _mm_search(_require_graphic(d))
+
+
+def _mm_search(values: np.ndarray) -> int:
+    """``mm_value`` of the graphic non-increasing positive ``values``."""
+    half = int(values.shape[0]) // 2
     return half - _first_holding(lambda k: _mm_feasible_reduction(values, half - k), 0, half)
 
 
@@ -189,8 +182,7 @@ def round_bipartite_mm(bip: BipartiteRealization, checked: bool = False) -> Real
 def _round_mm(bip: BipartiteRealization, checked: bool) -> Realization:
     """``round_bipartite_mm`` on a realization that is already validated."""
     n, two_nu = bip.n, bip.prefix
-    degrees = bip.degrees
-    hw = HalfWeights(n, degrees, bip.rows)
+    hw = HalfWeights(n, bip.degrees, bip.rows)
 
     def checked_state():
         hw.assert_weighted_degrees()
@@ -201,10 +193,8 @@ def _round_mm(bip: BipartiteRealization, checked: bool) -> Realization:
         checked_state()
 
     pairs = tuple((i, two_nu - i + 1) for i in range(1, two_nu // 2 + 1))
-    edges = round_half_weights(hw, set(pairs), [], checked_state if checked else None)
-    graph = Realization(n, frozenset(edges), Matching(pairs))
-    if graph.degrees() != degrees:
-        raise InternalError("rounded graph does not carry the input degrees")
+    graph = round_half_weights(hw, set(pairs), [], checked_state if checked else None,
+                               Matching(pairs))
     if not verify_matching(graph, pairs):
         raise InternalError("rounded graph lost the inverted prefix matching")
     return graph
@@ -216,24 +206,13 @@ def realize_mm(d: DegreeSequence, checked: bool = False) -> Realization:
     The certificate is the inverted prefix matching {(i, 2nu-i+1)}; isolated
     vertices from stripped zeros are appended and left unmatched.
     """
-    if not is_graphic(d):
-        raise NotGraphicError(f"sequence {d.values} is not graphic")
     n = d.n
-    zeros = d.zero_count
-    if n < 2:
-        return Realization(n + zeros, frozenset(), Matching(()))
-    nu = mm_value(d)
-    value, rows, _ = _mm_flow(d, nu)
-    if value != d.total - 2 * nu:
-        raise InternalError(
-            f"reduction network for nu={nu} failed to saturate after the "
-            f"value search claimed feasibility")
-    for i in range(1, 2 * nu + 1):
-        rows[i].add(2 * nu - i + 1)
-    graph = _round_mm(_from_flow_rows(n, 2 * nu, "mm", d.values, rows), checked)
-    if zeros == 0:
+    nu = _mm_search(_require_graphic(d))
+    caps, partner = _mm_pattern(d, nu)
+    graph = _round_mm(_from_reduction_flow(n, 2 * nu, "mm", d.values, n, caps, partner), checked)
+    if d.zero_count == 0:
         return graph
-    return Realization(n + zeros, graph.edges, graph.certificate)
+    return Realization(d.total_vertices, graph.edges, graph.certificate)
 
 
 def flip(g: Realization, x: int, u: int, y: int, v: int) -> Realization:

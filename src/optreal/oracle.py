@@ -15,8 +15,8 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterator
 
-from .errors import LimitError, NotGraphicError
-from .sequences import DegreeSequence, Realization, is_graphic
+from .errors import LimitError
+from .sequences import DegreeSequence, Realization, _require_graphic
 
 __all__ = [
     "DEFAULT_LIMIT",
@@ -155,8 +155,7 @@ def exact_mm(g: Realization) -> int:
 
 def _require_small_graphic(d: DegreeSequence, limit: int):
     _check_limit(d.n, limit)
-    if not is_graphic(d):
-        raise NotGraphicError(f"sequence {d.values} is not graphic")
+    _require_graphic(d)
 
 
 def oracle_mds(d: DegreeSequence, limit: int = DEFAULT_LIMIT) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Callable
 
 from .errors import InternalError
+from .sequences import Certificate, Realization
 
 __all__ = [
     "HalfWeights",
@@ -186,8 +187,10 @@ def toggle_integral_edge(hw: HalfWeights, x: int, y: int) -> int:
 
 def round_half_weights(hw: HalfWeights, protected: set[tuple[int, int]],
                        triangles: list[tuple[int, int, int]],
-                       check: Callable[[], None] | None) -> list[tuple[int, int]]:
-    """Make every weight of ``hw`` integral and return the full-weight pairs.
+                       check: Callable[[], None] | None,
+                       certificate: Certificate) -> Realization:
+    """Make every weight of ``hw`` integral and return the graph of its
+    full-weight pairs, carrying ``certificate``.
 
     The half-weight graph minus the ``triangles`` (each (a, s, b) with center
     s) is covered by one closed walk per connected component; the triangles
@@ -200,6 +203,7 @@ def round_half_weights(hw: HalfWeights, protected: set[tuple[int, int]],
     keeps a full-weight edge to one of its two triangle partners.
 
     ``check``, when given, is called after every individual modification.
+    A graph whose degrees differ from ``hw.degrees`` raises InternalError.
     """
     adj = [set(neigh) for neigh in hw.half_adj]
     for a, s, b in triangles:
@@ -253,7 +257,10 @@ def round_half_weights(hw: HalfWeights, protected: set[tuple[int, int]],
     for i in range(1, hw.n + 1):
         if hw.half_adj[i]:
             raise InternalError(f"half-weight edges remain at vertex {i}")
-    return hw.integral_edges()
+    graph = Realization(hw.n, frozenset(hw.integral_edges()), certificate)
+    if graph.degrees() != hw.degrees:
+        raise InternalError("rounded graph does not carry the input degrees")
+    return graph
 
 
 def _choose_connector(hw: HalfWeights, first, second, protected):

@@ -188,6 +188,22 @@ def _graphic_array(d: DegreeSequence) -> Optional[np.ndarray]:
     return arr
 
 
+def _not_graphic(d: DegreeSequence) -> NotGraphicError:
+    """The error for a non-graphic ``d``.  Past ten degrees the message names
+    the count and the first ten only, so it stays short at any n."""
+    if d.n <= 10:
+        return NotGraphicError(f"sequence {d.values} is not graphic")
+    return NotGraphicError(f"sequence of {d.n} degrees, starting {d.values[:10]}, is not graphic")
+
+
+def _require_graphic(d: DegreeSequence) -> np.ndarray:
+    """``d.values`` as an int64 array; raises NotGraphicError unless ``d`` is graphic."""
+    arr = _graphic_array(d)
+    if arr is None:
+        raise _not_graphic(d)
+    return arr
+
+
 def is_graphic(d: DegreeSequence) -> bool:
     """Decide whether some simple graph has exactly these vertex degrees.
 
@@ -290,8 +306,7 @@ def havel_hakimi_realize(d: DegreeSequence) -> Realization:
     Isolated vertices stripped from ``d`` are appended at the end.
     Raises NotGraphicError when no realization exists.
     """
-    if not is_graphic(d):
-        raise NotGraphicError(f"sequence {d.values} is not graphic")
+    _require_graphic(d)
     n = d.n
     residual = list(d.values)
     edges = []
@@ -305,7 +320,7 @@ def havel_hakimi_realize(d: DegreeSequence) -> Realization:
         u = active[0]
         need = residual[u - 1]
         if need > len(active) - 1:
-            raise NotGraphicError(f"sequence {d.values} is not graphic")
+            raise _not_graphic(d)
         residual[u - 1] = 0
         for v in active[1:need + 1]:
             residual[v - 1] -= 1

@@ -38,6 +38,18 @@ def test_degree_beyond_int64_is_not_graphic():
         assert err.count("\n") == 1
 
 
+def test_long_not_graphic_sequence_reports_a_short_error(tmp_path):
+    n = 2 * 10**5
+    path = tmp_path / "big.txt"
+    path.write_text(" ".join([str(n)] + ["1"] * (n - 1)))
+    for objective in ("mds", "mm"):
+        for action in ("value", "realize"):
+            code, out, err = invoke([objective, action, f"@{path}"])
+            assert (code, out) == (1, "")
+            assert err == (f"error: sequence of {n} degrees, starting "
+                           f"(200000, 1, 1, 1, 1, 1, 1, 1, 1, 1), is not graphic\n")
+
+
 def test_mds_value():
     code, out, _ = invoke(["mds", "value", "2 2 2"])
     assert (code, out) == (0, "1\n")

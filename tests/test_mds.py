@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from optreal import (ContractError, DegreeSequence, DomainError,
+from optreal import (ContractError, DegreeSequence, DomainError, DominatingSet,
                      InfeasibleError, NetworkError, NotGraphicError, Realization,
                      build_mds_flow, extract_bipartite_mds, max_flow,
                      mds_feasible, mds_systems_hold, mds_value, oracle_mds,
@@ -315,6 +315,9 @@ def test_realize_appends_isolated_vertices():
     assert g.degrees() == (2, 2, 2, 0, 0)
     assert g.certificate.vertices == (1, 4, 5)
     assert verify_dominating(g, g.certificate.vertices)
+    for zeros in (0, 3):
+        g = realize_mds(DS((), zeros))
+        assert g == Realization(zeros, frozenset(), DominatingSet(tuple(range(1, zeros + 1))))
 
 
 def test_realize_rejects_non_graphic():

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from optreal import (ContractError, DegreeSequence, DomainError,
-                     InfeasibleError, NetworkError, NotGraphicError, build_mm_flow,
+                     InfeasibleError, Matching, NetworkError, NotGraphicError,
+                     Realization, build_mm_flow,
                      extract_bipartite_mm, max_flow, mm_feasible, mm_value,
                      oracle_mm, realize_mm, round_bipartite_mm,
                      verify_matching)
@@ -256,6 +257,8 @@ def test_realize_with_isolated_vertices():
     assert g.n == 4
     assert g.degrees() == (1, 1, 0, 0)
     assert g.certificate.pairs == ((1, 2),)
+    for zeros in (0, 3):
+        assert realize_mm(DS((), zeros)) == Realization(zeros, frozenset(), Matching(()))
 
 
 def test_realize_deterministic():

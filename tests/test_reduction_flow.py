@@ -7,15 +7,19 @@ arc order of ``build_mds_flow``/``build_mm_flow`` and compared with
 realize witnesses are compared with the composed explicit route.
 """
 
+import types
+
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import optreal
 from optreal import (BipartiteRealization, DegreeSequence, build_mds_flow,
                      build_mm_flow, extract_bipartite_mds, extract_bipartite_mm, is_graphic,
                      max_flow, mds_value, mm_value, realize_mds, realize_mm,
-                     round_bipartite_mds, round_bipartite_mm)
-from optreal.dominating import _mds_flow
-from optreal.matching import _mm_flow
+                     round_bipartite_mds, round_bipartite_mm, verify_dominating,
+                     verify_matching)
+from optreal.flow import _reduction_max_flow
+from optreal.matching import _mm_pattern
 
 from conftest import all_positive_sequences
 
@@ -28,8 +32,11 @@ def implicit_arc_flows(d: DegreeSequence, k: int, mds: bool, net):
     Only unit arcs are returned by the solver; every other arc's flow
     follows by conservation at x_i, x'_i, y'_j and y_j.
     """
-    value, rows, sup_rows = (_mds_flow if mds else _mm_flow)(d, k)
     n = d.n
+    if mds:
+        value, rows, sup_rows = _reduction_max_flow(n, k, (0,) + d.values, [0] * (n + 1))
+    else:
+        value, rows, sup_rows = _reduction_max_flow(n, n, *_mm_pattern(d, k))
     r = n - k if mds else 0
     xp0, yp0 = 2 * n - k, 2 * n + r - k  # x'_i = xp0 + i, y'_j = yp0 + j
     col, sup_col = [0] * (n + 1), [0] * (n + 1)
@@ -132,12 +139,18 @@ def test_realize_equals_explicit_route(d):
         return
     gamma = mds_value(d)
     bip = extract_bipartite_mds(d, gamma, max_flow(build_mds_flow(d, gamma)))
-    expected = round_bipartite_mds(bip)
-    assert realize_mds(d) == expected
+    g = realize_mds(d)
+    assert g == round_bipartite_mds(bip)
+    assert g.realizes(d) and verify_dominating(g, g.certificate.vertices)
+    assert len(g.certificate.vertices) == gamma
+    assert realize_mds(d, checked=True) == g
     nu = mm_value(d)
     bip = extract_bipartite_mm(d, nu, max_flow(build_mm_flow(d, nu)))
-    expected = round_bipartite_mm(bip)
-    assert realize_mm(d) == expected
+    g = realize_mm(d)
+    assert g == round_bipartite_mm(bip)
+    assert g.realizes(d) and verify_matching(g, g.certificate.pairs)
+    assert len(g.certificate.pairs) == nu
+    assert realize_mm(d, checked=True) == g
 
 
 def test_realize_validates_each_bipartite_realization_once(monkeypatch):
@@ -149,3 +162,18 @@ def test_realize_validates_each_bipartite_realization_once(monkeypatch):
     realize_mds(d)
     realize_mm(d)
     assert calls == ["mds", "mm"]
+
+
+def test_realize_gates_graphicality_once(monkeypatch):
+    calls = []
+    graphic_array = optreal.sequences._graphic_array
+    for name in dir(optreal):
+        module = getattr(optreal, name)
+        if isinstance(module, types.ModuleType) and hasattr(module, "_graphic_array"):
+            monkeypatch.setattr(module, "_graphic_array",
+                                lambda d: calls.append(d) or graphic_array(d))
+    d = DS((3, 3, 3, 1, 1, 1))
+    for realize in (realize_mds, realize_mm):
+        calls.clear()
+        realize(d)
+        assert len(calls) == 1, realize.__name__

@@ -4,8 +4,10 @@ import pytest
 
 from optreal import (DegreeSequence, DomainError, NotGraphicError, ParseError,
                      format_sequence, havel_hakimi_realize, is_graphic,
-                     parse_sequence)
+                     mds_value, mm_feasible, mm_value, oracle_mds, oracle_mm,
+                     parse_sequence, realize_mds, realize_mm)
 from optreal.oracle import enumerate_realizations
+from optreal.sequences import _require_graphic
 
 from conftest import all_positive_sequences, random_graphic_sequence
 
@@ -100,6 +102,26 @@ def test_havel_hakimi_degrees_exact():
 def test_havel_hakimi_rejects_non_graphic():
     with pytest.raises(NotGraphicError):
         havel_hakimi_realize(DegreeSequence((4, 3, 1, 1, 1)))
+
+
+def test_not_graphic_message_is_bounded():
+    # up to ten degrees the message lists them all; beyond, it names the
+    # count and the first ten, so its length does not grow with n
+    calls = (_require_graphic, mds_value, mm_value, lambda d: mm_feasible(d, 0),
+             realize_mds, realize_mm, havel_hakimi_realize,
+             lambda d: oracle_mds(d, 10), lambda d: oracle_mm(d, 10))
+    for d in (DegreeSequence((4, 3, 1, 1, 1)), DegreeSequence((9, 9) + (1,) * 8)):
+        for call in calls:
+            with pytest.raises(NotGraphicError) as info:
+                call(d)
+            assert str(info.value) == f"sequence {d.values} is not graphic"
+    n = 2 * 10**5
+    d = DegreeSequence((n,) + (1,) * (n - 1))
+    for call in calls[:-2]:
+        with pytest.raises(NotGraphicError) as info:
+            call(d)
+        assert str(info.value) == (f"sequence of {n} degrees, starting "
+                                   f"(200000, 1, 1, 1, 1, 1, 1, 1, 1, 1), is not graphic")
 
 
 def test_havel_hakimi_random_property():
