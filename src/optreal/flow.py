@@ -10,7 +10,9 @@ exclusion" blocks.  The realization pipelines therefore never build them:
 ``_reduction_max_flow`` runs the same Dinic on the block pattern, in
 O(n + flow) per phase, and returns the same flow arc for arc.  The explicit
 builders (``build_mds_flow``, ``build_mm_flow``) with ``max_flow`` remain
-the public reference it is tested against.
+the public reference it is tested against.  The two phases that carry
+almost all of the flow, phase 1 and the x' -> y' tail of the distance-5
+phase, run as closed-form loops that take the DFS's own steps.
 """
 
 from __future__ import annotations
@@ -218,6 +220,26 @@ def _reduction_max_flow(n: int, prefix: int, caps, partner):
     arc at or after a pointer is exactly the arc an explicit scan finds.
     Every augmenting path crosses a unit arc, so each one carries one unit.
 
+    Every arc joins the classes {s, y, x'} and {x, y', t}, so the sink's
+    level ``lt`` is odd, and Dinic makes it grow from phase to phase.  Two
+    fast paths, chosen by ``lt`` alone, take the DFS's steps without its
+    path and segment machine:
+
+    - ``lt == 3``, phase 1 as a greedy fill.  This can only be the first
+      phase, so no unit flows yet.  The y'_j sit on level 3 and are cut, so
+      every admissible path is s -> x_i -> y_j -> t.  The DFS fills x_1,
+      x_2, ... in turn, each from the lowest live level-2 columns other than
+      i, ``partner[i]`` and those past its block; a column dies once its
+      sink arc is full.
+    - ``lt == 5``, the tail as a run.  This phase comes first or right
+      after phase 1, so no unit is on an x' -> y' arc when it starts, and
+      no x'_i on level 4 ever takes one (its y' columns are cut).  So y'_j
+      has no admissible reverse arc and y_j on level 4 has only its sink
+      arc.  Once the DFS stands at x'_i in its y' segment, each unit goes
+      x'_i -> y'_j -> y_j -> t, with y'_j (and y_j, whose sink is full)
+      marked dead where the DFS would mark them, until s -> x_i or
+      x_i -> x'_i is full; only then does the search return to s.
+
     Returns (value, rows, sup_rows): ``rows[i]`` is the set of j with a unit
     on x_i -> y_j, ``sup_rows[i]`` the set of j with one on x'_i -> y'_j.
     """
@@ -243,6 +265,12 @@ def _reduction_max_flow(n: int, prefix: int, caps, partner):
             nxt[p], p = root, nxt[p]
         return root
 
+    def reach(free, i, pi, ri):
+        # The unvisited columns row i reaches, and the others as a new set:
+        # a set keeps its table size as it empties, and a scan costs that size.
+        rest = {j for j in free if j == i or j == pi or j in ri}
+        return free - rest, rest
+
     while True:
         # BFS layering.  A block row reaches the unvisited columns it is not
         # excluded from and carries no unit to, so a phase costs O(n + flow).
@@ -263,10 +291,11 @@ def _reduction_max_flow(n: int, prefix: int, caps, partner):
             found = []
             if v <= n:
                 i, ri, pi = v, rows[v], partner[v]
-                for free in ((free_pre, free_rest) if v <= prefix else (free_pre,)):
-                    hit = [j for j in free if j != i and j != pi and j not in ri]
-                    free.difference_update(hit)
-                    found += [n + j for j in hit]
+                hit, free_pre = reach(free_pre, i, pi, ri)
+                if v <= prefix:
+                    more, free_rest = reach(free_rest, i, pi, ri)
+                    hit |= more
+                found = [n + j for j in hit]
                 if v > prefix and xs[v] < caps[v] - 1 and level[n2 + v] < 0:
                     found.append(n2 + v)
             elif v <= n2:
@@ -282,9 +311,7 @@ def _reduction_max_flow(n: int, prefix: int, caps, partner):
                 i = v - n2
                 if xs[i] > 0 and level[i] < 0:
                     found.append(i)
-                ri = sup_rows[i]
-                hit = [j for j in free_sup if j != i and j not in ri]
-                free_sup.difference_update(hit)
+                hit, free_sup = reach(free_sup, i, 0, sup_rows[i])
                 found += [n3 + j for j in hit]
             else:
                 j = v - n3
@@ -316,6 +343,28 @@ def _reduction_max_flow(n: int, prefix: int, caps, partner):
             return order, start, at, list(range(len(order) + 1))
 
         yorder, ystart, ypos, ynxt = by_level(n, 1)
+        if lt == 3:
+            # Phase 1 as a greedy fill (see the docstring).
+            end = ystart[3]
+            for i in range(1, n + 1):
+                if level[i] != 1:
+                    continue
+                ci, ri, pi, cm = caps[i], rows[i], partner[i], colmax[i]
+                p = find(ynxt, ystart[2])
+                while src[i] < ci and p < end:
+                    j = yorder[p]
+                    if j > cm:
+                        break
+                    if j != i and j != pi and snk[j] < caps[j]:
+                        ri.add(j)
+                        cols[j].add(i)
+                        src[i] += 1
+                        snk[j] += 1
+                        total += 1
+                    if snk[j] >= caps[j]:
+                        ynxt[p] = p + 1
+                    p = find(ynxt, p + 1)
+            continue
         porder, pstart, ppos, pnxt = by_level(n3, prefix + 1)
 
         # Blocking flow: repeatedly the first admissible s-t path in arc
@@ -394,6 +443,35 @@ def _reduction_max_flow(n: int, prefix: int, caps, partner):
                         ri, pi = rows[i], partner[i]
                     end = start[nl + 1]
                     p = find(nxt, pos[u])
+                    if sup and lt == 5:
+                        # The tail as a run (see the docstring); x'_i gets
+                        # no other visit in this phase.
+                        ci = caps[i]
+                        while p < end:
+                            j = order[p]
+                            if j != i:
+                                if ys[j] < caps[j] - 1 and level[n + j] == 4:
+                                    if snk[j] < caps[j]:
+                                        ri.add(j)
+                                        sup_cols[j].add(i)
+                                        src[i] += 1
+                                        xs[i] += 1
+                                        ys[j] += 1
+                                        snk[j] += 1
+                                        total += 1
+                                        if src[i] == ci or xs[i] == ci - 1:
+                                            break
+                                        p = find(nxt, p + 1)
+                                        continue
+                                    level[n + j] = -1
+                                    ynxt[ypos[j]] = ypos[j] + 1
+                                level[n3 + j] = -1
+                                nxt[p] = p + 1
+                            p = find(nxt, p + 1)
+                        if p < end:   # s -> x_i or x_i -> x'_i is full
+                            seg[u], pos[u] = sg, p
+                            del path[1:]
+                            continue
                     while p < end:
                         j = order[p]
                         if j > cm:

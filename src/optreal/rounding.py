@@ -83,13 +83,9 @@ class HalfWeights:
             self.half_adj[j].add(i)
 
     def integral_edges(self) -> list[tuple[int, int]]:
-        """All pairs (i < j) of weight 1 (two half-units), in increasing order."""
-        edges = []
-        for i in range(1, self.n + 1):
-            upper = [j for j, v in self.w[i].items() if j > i and v == 2]
-            upper.sort()
-            edges += [(i, j) for j in upper]
-        return edges
+        """All pairs (i < j) of weight 1 (two half-units), in no set order."""
+        return [(i, j) for i in range(1, self.n + 1)
+                for j, v in self.w[i].items() if j > i and v == 2]
 
     # Checked-mode invariants.  Each reads every stored weight, and the
     # pipelines call them after every modification when checked=True, so

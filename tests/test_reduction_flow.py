@@ -7,8 +7,10 @@ arc order of ``build_mds_flow``/``build_mm_flow`` and compared with
 realize witnesses are compared with the composed explicit route.
 """
 
+import random
 import types
 
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -21,7 +23,7 @@ from optreal import (BipartiteRealization, DegreeSequence, build_mds_flow,
 from optreal.flow import _reduction_max_flow
 from optreal.matching import _mm_pattern
 
-from conftest import all_positive_sequences
+from conftest import all_positive_sequences, random_graphic_sequence
 
 DS = DegreeSequence
 
@@ -81,6 +83,21 @@ def test_implicit_flow_matches_explicit_exhaustive():
             for nu in range(n // 2 + 1):
                 saturated[assert_same_flow(d, nu, False)] += 1
     assert saturated[True] and saturated[False]
+
+
+# Seeded (seed, n, dmax) cases, dense and sparse, past the exhaustive range.
+# In each, the mds flow's lt == 5 phase interleaves s -> x -> y -> x -> y -> t
+# units with x'_i -> y'_j -> y_j -> t runs, and in the n = 120 dense and
+# n = 100 sparse cases some y_j's sink fills on the x -> y route before a
+# run reaches it.  The mm flow carries almost all its units in phase 1.
+LARGE_CASES = [(1, 60, 59), (25, 120, 119), (0, 100, 10), (0, 120, 20)]
+
+
+@pytest.mark.parametrize("seed, n, dmax", LARGE_CASES)
+def test_implicit_flow_matches_explicit_large(seed, n, dmax):
+    d = random_graphic_sequence(random.Random(seed), n, dmax)
+    assert assert_same_flow(d, mds_value(d), True)
+    assert assert_same_flow(d, mm_value(d), False)
 
 
 @st.composite
