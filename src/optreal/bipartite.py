@@ -15,6 +15,7 @@ from typing import Literal
 
 from .errors import ContractError, InternalError
 from .flow import _reduction_max_flow
+from .rounding import HalfWeights
 
 __all__ = ["BipartiteRealization"]
 
@@ -101,19 +102,10 @@ class BipartiteRealization:
                     raise ContractError(f"inverted matching entry ({i}, {j}) missing")
 
 
-def _from_flow_rows(n: int, prefix: int, mode: Literal["mds", "mm"],
-                    degrees: tuple[int, ...], rows) -> BipartiteRealization:
-    """The realization with ones at the columns ``rows[i]`` of each row i,
-    read off a saturating flow and validated once.
-
-    Each ``rows[i]`` is replaced in place by its sorted list, so the flow's
-    column sets are released before rounding starts.  A realization that
-    fails validation means the flow was not the one the reduction
-    guarantees, which is a bug, so it raises InternalError.
-    """
-    for i, cols in enumerate(rows):
-        rows[i] = sorted(cols)
-    bip = BipartiteRealization(n, prefix, mode, degrees, rows)
+def _validated(bip: BipartiteRealization) -> BipartiteRealization:
+    """``bip`` once ``validate()`` accepts it.  It was read off a saturating
+    flow, so a realization that fails means the flow was not the one the
+    reduction guarantees, which is a bug: it raises InternalError."""
     try:
         bip.validate()
     except ContractError as exc:
@@ -121,22 +113,51 @@ def _from_flow_rows(n: int, prefix: int, mode: Literal["mds", "mm"],
     return bip
 
 
+def _from_flow_rows(n: int, prefix: int, mode: Literal["mds", "mm"],
+                    degrees: tuple[int, ...], rows) -> BipartiteRealization:
+    """The realization with ones at the columns ``rows[i]`` of each row i,
+    read off a saturating flow and validated once; each ``rows[i]`` is
+    replaced in place by its sorted list."""
+    for i, cols in enumerate(rows):
+        rows[i] = sorted(cols)
+    return _validated(BipartiteRealization(n, prefix, mode, degrees, rows))
+
+
 def _from_reduction_flow(n: int, prefix: int, mode: Literal["mds", "mm"],
                          degrees: tuple[int, ...], flow_prefix: int, caps,
-                         partner) -> BipartiteRealization:
-    """``_from_flow_rows`` on the maximum flow of the reduction network with
-    pattern (``flow_prefix``, ``caps``, ``partner``); see
-    ``flow._reduction_max_flow``.  Row i also takes its x'_i -> y'_j units
-    and its ``partner[i]``, a pair the network omits.  The value search
-    found the network feasible, so a flow short of ``sum(caps)`` is a bug."""
-    value, rows, sup_rows = _reduction_max_flow(n, flow_prefix, caps, partner)
+                         partner) -> HalfWeights:
+    """The half-unit weights of the realization carried by the maximum flow
+    of the reduction network with pattern (``flow_prefix``, ``caps``,
+    ``partner``); see ``flow._reduction_max_flow``.
+
+    Row i's ones are its x_i -> y_j and x'_i -> y'_j units plus
+    ``partner[i]``, a pair the network omits, and column i's are the same
+    pairs transposed.  Vertex i's weights are folded straight from its row
+    and column sets (see ``HalfWeights.fold``), and each solver set is
+    released as it is merged or folded, so memory stays at the flow's own
+    peak.  The realization, each row as its sorted column list, is
+    validated once (see ``_validated``) and then dropped.  The value search
+    found the network feasible, so a flow short of ``sum(caps)`` is a bug.
+    """
+    value, rows, cols, sup_rows, sup_cols = _reduction_max_flow(n, flow_prefix, caps, partner)
     if value != sum(caps):
         raise InternalError(
             f"{mode} reduction network with prefix {prefix} carries {value} of "
             f"{sum(caps)} units after the value search claimed feasibility")
-    for i in range(1, n + 1):
-        rows[i] |= sup_rows[i]
-        if partner[i]:
-            rows[i].add(partner[i])
-    del sup_rows  # merged; release the sets before rounding
-    return _from_flow_rows(n, prefix, mode, degrees, rows)
+    rows[0] = []
+
+    def incidence():
+        for i in range(1, n + 1):
+            out_i, in_i = rows[i], cols[i]
+            out_i |= sup_rows[i]
+            in_i |= sup_cols[i]
+            if partner[i]:
+                out_i.add(partner[i])
+                in_i.add(partner[i])
+            cols[i] = sup_rows[i] = sup_cols[i] = None
+            rows[i] = sorted(out_i)
+            yield out_i, in_i
+
+    hw = HalfWeights.fold(n, degrees, incidence())
+    _validated(BipartiteRealization(n, prefix, mode, degrees, rows))
+    return hw

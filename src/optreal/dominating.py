@@ -20,7 +20,7 @@ from .flow import FlowAssignment, FlowNetwork
 from .rounding import HalfWeights, round_half_weights
 from .sequences import (DegreeSequence, DominatingSet, Realization,
                         _degree_reaches_n, _eg_inequalities_hold,
-                        _first_holding, _require_graphic)
+                        _first_holding, _require_graphic, _values_array)
 
 __all__ = [
     "build_mds_flow",
@@ -91,7 +91,7 @@ def mds_systems_hold(d: DegreeSequence, gamma: int) -> bool:
     _check_gamma(d, gamma)
     if _degree_reaches_n(d):
         return False
-    values = np.asarray(d.values, dtype=np.int64)
+    values = _values_array(d)
     return _eg_inequalities_hold(values) and _systems_hold(values, gamma)
 
 
@@ -209,7 +209,7 @@ def extract_bipartite_mds(d: DegreeSequence, gamma: int,
 def _find_two_dom_path(hw: HalfWeights, gamma: int, s: int):
     """Lowest-index four-vertex half-weight path (a, s, b, c) with a, b prefix
     dominators, or None."""
-    doms = sorted(x for x in hw.half_adj[s] if x <= gamma)
+    doms = sorted(filter(gamma.__ge__, hw.half_adj[s]))
     if len(doms) < 2:
         return None
     for a in doms:
@@ -246,13 +246,14 @@ def round_bipartite_mds(bip: BipartiteRealization, checked: bool = False) -> Rea
     if bip.mode != "mds":
         raise ContractError(f"expected a bipartite realization in mds mode, got {bip.mode!r}")
     bip.validate()
-    return _round_mds(bip, checked)
+    return _round_mds(HalfWeights.from_rows(bip.n, bip.degrees, bip.rows), bip.prefix, checked)
 
 
-def _round_mds(bip: BipartiteRealization, checked: bool) -> Realization:
-    """``round_bipartite_mds`` on a realization that is already validated."""
-    n, gamma = bip.n, bip.prefix
-    hw = HalfWeights(n, bip.degrees, bip.rows)
+def _round_mds(hw: HalfWeights, gamma: int, checked: bool) -> Realization:
+    """``round_bipartite_mds`` on the half-weights of a realization that is
+    already validated, with dominating prefix length ``gamma``; ``hw`` is
+    consumed."""
+    n = hw.n
     if checked:
         _checked_state(hw, gamma)
 
@@ -265,7 +266,7 @@ def _round_mds(bip: BipartiteRealization, checked: bool) -> Realization:
             if found is None:
                 break
             a, b, c = found
-            ac = hw.w[a][c]
+            ac = hw.weight(a, c)
             if ac == 0:
                 hw.set_weight(a, s, 0)
                 hw.set_weight(s, b, 2)
@@ -294,16 +295,22 @@ def _round_mds(bip: BipartiteRealization, checked: bool) -> Realization:
     protected: set[tuple[int, int]] = set()
     triangles: list[tuple[int, int, int]] = []  # (a, s, b)
     for s in range(gamma + 1, n + 1):
-        full = min((x for x, v in hw.w[s].items() if v == 2 and x <= gamma), default=None)
+        # the least prefix vertex at full weight: probe the prefix when it
+        # is shorter than the set, else scan the set
+        full_s = hw.full[s]
+        if gamma < len(full_s):
+            full = next(filter(full_s.__contains__, range(1, gamma + 1)), None)
+        else:
+            full = min(filter(gamma.__ge__, full_s), default=None)
         if full is not None:
             protected.add((full, s))
             continue
-        doms = sorted(x for x in hw.half_adj[s] if x <= gamma)
+        doms = sorted(filter(gamma.__ge__, hw.half_adj[s]))
         if len(doms) != 2:
             raise InternalError(
                 f"vertex {s} has {len(doms)} half-weight prefix neighbors, expected 2")
         a, b = doms
-        if hw.w[a][b] != 1:
+        if b not in hw.half_adj[a]:
             raise InternalError(f"triangle edge ({a}, {b}) missing for vertex {s}")
         triangles.append((a, s, b))
 
@@ -323,9 +330,9 @@ def realize_mds(d: DegreeSequence, checked: bool = False) -> Realization:
     """
     n = d.n
     gamma = _mds_search(_require_graphic(d))
-    bip = _from_reduction_flow(n, gamma, "mds", d.values, gamma,
-                               (0,) + d.values, [0] * (n + 1))
-    graph = _round_mds(bip, checked)
+    hw = _from_reduction_flow(n, gamma, "mds", d.values, gamma,
+                              (0,) + d.values, [0] * (n + 1))
+    graph = _round_mds(hw, gamma, checked)
     zeros = d.zero_count
     if zeros == 0:
         return graph

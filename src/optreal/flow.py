@@ -8,16 +8,20 @@ The reduction networks of this package have O(n) nodes but O(n^2) arcs,
 almost all of them unit arcs in a few "rows x columns minus a known
 exclusion" blocks.  The realization pipelines therefore never build them:
 ``_reduction_max_flow`` runs the same Dinic on the block pattern, in
-O(n + flow) per phase, and returns the same flow arc for arc.  The explicit
-builders (``build_mds_flow``, ``build_mm_flow``) with ``max_flow`` remain
-the public reference it is tested against.  The two phases that carry
-almost all of the flow, phase 1 and the x' -> y' tail of the distance-5
-phase, run as closed-form loops that take the DFS's own steps.
+O(n + flow) per phase, and returns the same flow arc for arc as sets of unit
+pairs by row and by column, which the pipelines fold straight into
+half-weights.  The explicit builders (``build_mds_flow``,
+``build_mm_flow``) with ``max_flow`` remain the public reference it is
+tested against.  Its BFS reaches block columns and reverse rows by C-level
+set difference.  The two phases that carry almost all of the flow, phase 1
+and the x' -> y' tail of the distance-5 phase, run as closed-form loops
+that take the DFS's own steps and count units once per row.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Iterator
 
@@ -211,24 +215,34 @@ def _reduction_max_flow(n: int, prefix: int, caps, partner):
     for i != j.  ``caps`` and ``partner`` are 1-based (slot 0 unused; a
     partner of 0 excludes nothing).
 
+    The flow is kept as sets of unit pairs, by row and by column; the other
+    arcs carry what conservation gives them: x_i -> x'_i carries
+    len(sup_rows[i]) and y'_j -> y_j len(sup_cols[j]), while s -> x_i and
+    y_j -> t are counted in ``src`` and ``snk``.
+
     Each node scans its residual arcs in the builders' insertion order, so
-    the flow equals ``max_flow`` on the built network arc for arc.  BFS
-    reaches a block's columns through the set of unvisited ones, and a DFS
-    current-arc pointer is a (segment, position) pair over the phase's
-    per-level column lists, with dead columns skipped by union-find.
-    Within a phase admissible arcs only disappear, so the first admissible
-    arc at or after a pointer is exactly the arc an explicit scan finds.
-    Every augmenting path crosses a unit arc, so each one carries one unit.
+    the flow equals ``max_flow`` on the built network arc for arc.  The BFS
+    finds the columns a row reaches by set difference with the per-phase
+    sets of unvisited columns, and the rows a column reaches back by set
+    difference with the sets of visited rows, so a phase costs O(n + flow)
+    in C-level set operations.  Nodes join the queue in another order than
+    in the explicit BFS, but on the same levels.  A DFS current-arc pointer
+    is a (segment, position) pair over the phase's per-level column lists,
+    with dead columns skipped by union-find.  Within a phase admissible arcs
+    only disappear, so the first admissible arc at or after a pointer is
+    exactly the arc an explicit scan finds.  Every augmenting path crosses
+    a unit arc, so each one carries one unit.  Once the source arcs are
+    full no path is left, and the search stops without another BFS.
 
     Every arc joins the classes {s, y, x'} and {x, y', t}, so the sink's
     level ``lt`` is odd, and Dinic makes it grow from phase to phase.  Two
     fast paths, chosen by ``lt`` alone, take the DFS's steps without its
-    path and segment machine:
+    path and segment machine, and count the units of a row once per row:
 
     - ``lt == 3``, phase 1 as a greedy fill.  This can only be the first
       phase, so no unit flows yet.  The y'_j sit on level 3 and are cut, so
       every admissible path is s -> x_i -> y_j -> t.  The DFS fills x_1,
-      x_2, ... in turn, each from the lowest live level-2 columns other than
+      x_2, ... in turn, each with the lowest live level-2 columns other than
       i, ``partner[i]`` and those past its block; a column dies once its
       sink arc is full.
     - ``lt == 5``, the tail as a run.  This phase comes first or right
@@ -240,22 +254,25 @@ def _reduction_max_flow(n: int, prefix: int, caps, partner):
       marked dead where the DFS would mark them, until s -> x_i or
       x_i -> x'_i is full; only then does the search return to s.
 
-    Returns (value, rows, sup_rows): ``rows[i]`` is the set of j with a unit
-    on x_i -> y_j, ``sup_rows[i]`` the set of j with one on x'_i -> y'_j.
+    Returns (value, rows, cols, sup_rows, sup_cols): ``rows[i]`` is the set
+    of j with a unit on x_i -> y_j and ``cols[j]`` the set of i with one;
+    ``sup_rows``/``sup_cols`` hold the units on x'_i -> y'_j the same way.
+    Slots without an x' or y' node (index <= ``prefix``) share one empty
+    frozenset.
     """
     # Node ids: s = 0, x_i = i, y_j = n + j, x'_i = 2n + i, y'_j = 3n + j.
     n2, n3 = 2 * n, 3 * n
     t = 4 * n + 1
     rows = [set() for _ in range(n + 1)]
     cols = [set() for _ in range(n + 1)]
-    sup_rows = [set() for _ in range(n + 1)]
-    sup_cols = [set() for _ in range(n + 1)]
+    no_node = [frozenset()] * (prefix + 1)
+    sup_rows = no_node + [set() for _ in range(n - prefix)]
+    sup_cols = no_node + [set() for _ in range(n - prefix)]
     src = [0] * (n + 1)   # flow on s -> x_i
     snk = [0] * (n + 1)   # flow on y_j -> t
-    xs = [0] * (n + 1)    # flow on x_i -> x'_i
-    ys = [0] * (n + 1)    # flow on y'_j -> y_j
     colmax = [n if i <= prefix else prefix for i in range(n + 1)]
     total = 0
+    most = sum(caps)   # the source arcs' capacity
 
     def find(nxt, p):
         root = p
@@ -265,69 +282,103 @@ def _reduction_max_flow(n: int, prefix: int, caps, partner):
             nxt[p], p = root, nxt[p]
         return root
 
-    def reach(free, i, pi, ri):
-        # The unvisited columns row i reaches, and the others as a new set:
+    def reach(free, ri, skip):
+        # The unvisited columns a row reaches, and the others as a new set:
         # a set keeps its table size as it empties, and a scan costs that size.
-        rest = {j for j in free if j == i or j == pi or j in ri}
-        return free - rest, rest
+        hit = free - ri
+        hit.difference_update(skip)
+        return hit, (free - hit if hit else free)
 
-    while True:
-        # BFS layering.  A block row reaches the unvisited columns it is not
-        # excluded from and carries no unit to, so a phase costs O(n + flow).
+    while total < most:
+        # BFS layering.  Each row and column is expanded at most once, and a
+        # block scan costs the columns it reaches plus the row's own units.
         level = [-1] * (t + 1)
         level[0] = 0
         queue = [i for i in range(1, n + 1) if src[i] < caps[i]]
+        ones = len(queue)
         for i in queue:
             level[i] = 1
-        free_pre = set(range(1, prefix + 1))
+        seen_x = set(queue)   # rows on a level
+        seen_sup = set()      # x' rows on a level
+        free_pre = set(range(1, prefix + 1))        # y columns on no level
         free_rest = set(range(prefix + 1, n + 1))
-        free_sup = set(range(prefix + 1, n + 1))
+        free_sup = set(range(prefix + 1, n + 1))    # y' columns on no level
         lt = -1
         head = 0
         while head < len(queue):
             v = queue[head]
             head += 1
             lv = level[v] + 1
-            found = []
             if v <= n:
-                i, ri, pi = v, rows[v], partner[v]
-                hit, free_pre = reach(free_pre, i, pi, ri)
+                ri, skip = rows[v], (v, partner[v])
+                hit, free_pre = reach(free_pre, ri, skip)
                 if v <= prefix:
-                    more, free_rest = reach(free_rest, i, pi, ri)
+                    more, free_rest = reach(free_rest, ri, skip)
                     hit |= more
                 found = [n + j for j in hit]
-                if v > prefix and xs[v] < caps[v] - 1 and level[n2 + v] < 0:
+                if v > prefix and len(sup_rows[v]) < caps[v] - 1 and level[n2 + v] < 0:
+                    seen_sup.add(v)
                     found.append(n2 + v)
             elif v <= n2:
                 j = v - n
                 if snk[j] < caps[j]:
                     lt = lv
                     break
-                found = [i for i in cols[j] if level[i] < 0]
-                if j > prefix and ys[j] > 0 and level[n3 + j] < 0:
+                back = cols[j] - seen_x
+                seen_x |= back
+                found = list(back)
+                if j > prefix and sup_cols[j] and level[n3 + j] < 0:
                     free_sup.discard(j)
                     found.append(n3 + j)
             elif v <= n3:
                 i = v - n2
-                if xs[i] > 0 and level[i] < 0:
+                found = []
+                if sup_rows[i] and level[i] < 0:
+                    seen_x.add(i)
                     found.append(i)
-                hit, free_sup = reach(free_sup, i, 0, sup_rows[i])
+                hit, free_sup = reach(free_sup, sup_rows[i], (i,))
                 found += [n3 + j for j in hit]
             else:
                 j = v - n3
-                found = [n2 + i for i in sup_cols[j] if level[n2 + i] < 0]
-                if ys[j] < caps[j] - 1 and level[n + j] < 0:
+                back = sup_cols[j] - seen_sup
+                seen_sup |= back
+                found = [n2 + i for i in back]
+                if len(sup_cols[j]) < caps[j] - 1 and level[n + j] < 0:
                     free_rest.discard(j)
                     found.append(n + j)
             for w in found:
                 level[w] = lv
             queue += found
+        del seen_x, seen_sup, free_pre, free_rest, free_sup   # O(n) each; the DFS needs none
         if lt < 0:
             break
         # Nodes on the sink's layer or beyond cannot reach it in this phase.
         for v in queue:
             if level[v] >= lt:
                 level[v] = -1
+
+        if lt == 3:
+            # Phase 1 as a greedy fill (see the docstring).  ``live`` lists
+            # the level-2 columns whose sink arc has room, ascending; each
+            # level-1 row takes the first caps[i] of them it may use.
+            live = [j for j in range(1, n + 1) if level[n + j] == 2 and caps[j]]
+            for i in queue[:ones]:
+                ci = caps[i]
+                end = min(bisect_right(live, colmax[i]), ci + 2)
+                take = live[:end]
+                for j in (i, partner[i]):
+                    k = bisect_left(take, j)
+                    if k < len(take) and take[k] == j:
+                        del take[k]
+                del take[ci:]
+                rows[i].update(take)
+                for j in take:
+                    cols[j].add(i)
+                src[i] = len(take)
+                total += len(take)
+                live[:end] = [j for j in live[:end] if len(cols[j]) < caps[j]]
+            snk = [len(c) for c in cols]   # every unit so far is on x -> y
+            continue
 
         # Per-level column lists (ascending index) and their dead-skip links.
         def by_level(offset, first):
@@ -343,28 +394,6 @@ def _reduction_max_flow(n: int, prefix: int, caps, partner):
             return order, start, at, list(range(len(order) + 1))
 
         yorder, ystart, ypos, ynxt = by_level(n, 1)
-        if lt == 3:
-            # Phase 1 as a greedy fill (see the docstring).
-            end = ystart[3]
-            for i in range(1, n + 1):
-                if level[i] != 1:
-                    continue
-                ci, ri, pi, cm = caps[i], rows[i], partner[i], colmax[i]
-                p = find(ynxt, ystart[2])
-                while src[i] < ci and p < end:
-                    j = yorder[p]
-                    if j > cm:
-                        break
-                    if j != i and j != pi and snk[j] < caps[j]:
-                        ri.add(j)
-                        cols[j].add(i)
-                        src[i] += 1
-                        snk[j] += 1
-                        total += 1
-                    if snk[j] >= caps[j]:
-                        ynxt[p] = p + 1
-                    p = find(ynxt, p + 1)
-            continue
         porder, pstart, ppos, pnxt = by_level(n3, prefix + 1)
 
         # Blocking flow: repeatedly the first admissible s-t path in arc
@@ -385,8 +414,6 @@ def _reduction_max_flow(n: int, prefix: int, caps, partner):
                         if b <= n2:
                             rows[a].add(b - n)
                             cols[b - n].add(a)
-                        else:
-                            xs[a] += 1
                     elif a <= n2:
                         j = a - n
                         if b == t:
@@ -394,22 +421,13 @@ def _reduction_max_flow(n: int, prefix: int, caps, partner):
                         elif b <= n:
                             rows[b].discard(j)
                             cols[j].discard(b)
-                        else:
-                            ys[j] -= 1
                     elif a <= n3:
-                        i = a - n2
-                        if b <= n:
-                            xs[i] -= 1
-                        else:
-                            sup_rows[i].add(b - n3)
-                            sup_cols[b - n3].add(i)
-                    else:
-                        j = a - n3
-                        if b <= n2:
-                            ys[j] += 1
-                        else:
-                            sup_rows[b - n2].discard(j)
-                            sup_cols[j].discard(b - n2)
+                        if b > n3:
+                            sup_rows[a - n2].add(b - n3)
+                            sup_cols[b - n3].add(a - n2)
+                    elif b > n2:
+                        sup_rows[b - n2].discard(a - n3)
+                        sup_cols[a - n3].discard(b - n2)
                 total += 1
                 del path[1:]
                 continue
@@ -429,7 +447,7 @@ def _reduction_max_flow(n: int, prefix: int, caps, partner):
                 sup = u > n
                 i = u - n2 if sup else u
                 if sg == 0:
-                    if sup and xs[i] > 0 and level[i] == nl:
+                    if sup and sup_rows[i] and level[i] == nl:
                         v = i
                     else:
                         sg = 1
@@ -442,32 +460,38 @@ def _reduction_max_flow(n: int, prefix: int, caps, partner):
                         order, nxt, start, cm = yorder, ynxt, ystart, colmax[i]
                         ri, pi = rows[i], partner[i]
                     end = start[nl + 1]
-                    p = find(nxt, pos[u])
+                    p = pos[u]
+                    if nxt[p] != p:
+                        p = find(nxt, p)
                     if sup and lt == 5:
                         # The tail as a run (see the docstring); x'_i gets
                         # no other visit in this phase.
-                        ci = caps[i]
+                        ci, had = caps[i], len(ri)
+                        stop = had + min(ci - src[i], ci - 1 - had)
                         while p < end:
                             j = order[p]
                             if j != i:
-                                if ys[j] < caps[j] - 1 and level[n + j] == 4:
+                                cj = sup_cols[j]
+                                if len(cj) < caps[j] - 1 and level[n + j] == 4:
                                     if snk[j] < caps[j]:
                                         ri.add(j)
-                                        sup_cols[j].add(i)
-                                        src[i] += 1
-                                        xs[i] += 1
-                                        ys[j] += 1
+                                        cj.add(i)
                                         snk[j] += 1
-                                        total += 1
-                                        if src[i] == ci or xs[i] == ci - 1:
+                                        if len(ri) == stop:
                                             break
-                                        p = find(nxt, p + 1)
+                                        p += 1
+                                        if nxt[p] != p:
+                                            p = find(nxt, p)
                                         continue
                                     level[n + j] = -1
                                     ynxt[ypos[j]] = ypos[j] + 1
                                 level[n3 + j] = -1
                                 nxt[p] = p + 1
-                            p = find(nxt, p + 1)
+                            p += 1
+                            if nxt[p] != p:
+                                p = find(nxt, p)
+                        src[i] += len(ri) - had
+                        total += len(ri) - had
                         if p < end:   # s -> x_i or x_i -> x'_i is full
                             seg[u], pos[u] = sg, p
                             del path[1:]
@@ -479,12 +503,15 @@ def _reduction_max_flow(n: int, prefix: int, caps, partner):
                         if j != i and j != pi and j not in ri:
                             v = (n3 if sup else n) + j
                             break
-                        p = find(nxt, p + 1)
+                        p += 1
+                        if nxt[p] != p:
+                            p = find(nxt, p)
                     pos[u] = p
                     if v < 0:
                         sg = 2
                 if sg == 2 and not sup:
-                    if i > prefix and xs[i] < caps[i] - 1 and level[n2 + i] == nl:
+                    if (i > prefix and len(sup_rows[i]) < caps[i] - 1
+                            and level[n2 + i] == nl):
                         v = n2 + i
                     else:
                         sg = 3
@@ -514,11 +541,11 @@ def _reduction_max_flow(n: int, prefix: int, caps, partner):
                         sg = 2
                 if sg == 2:
                     if sup:
-                        if ys[j] < caps[j] - 1 and level[n + j] == nl:
+                        if len(sup_cols[j]) < caps[j] - 1 and level[n + j] == nl:
                             v = n + j
                         else:
                             sg = 4
-                    elif j > prefix and ys[j] > 0 and level[n3 + j] == nl:
+                    elif j > prefix and sup_cols[j] and level[n3 + j] == nl:
                         v = n3 + j
                     else:
                         sg = 3
@@ -539,4 +566,4 @@ def _reduction_max_flow(n: int, prefix: int, caps, partner):
             elif u > n3:
                 pnxt[ppos[u - n3]] = ppos[u - n3] + 1
             path.pop()
-    return total, rows, sup_rows
+    return total, rows, cols, sup_rows, sup_cols

@@ -176,13 +176,12 @@ def round_bipartite_mm(bip: BipartiteRealization, checked: bool = False) -> Real
     if bip.mode != "mm":
         raise ContractError(f"expected a bipartite realization in mm mode, got {bip.mode!r}")
     bip.validate()
-    return _round_mm(bip, checked)
+    return _round_mm(HalfWeights.from_rows(bip.n, bip.degrees, bip.rows), bip.prefix, checked)
 
 
-def _round_mm(bip: BipartiteRealization, checked: bool) -> Realization:
-    """``round_bipartite_mm`` on a realization that is already validated."""
-    n, two_nu = bip.n, bip.prefix
-    hw = HalfWeights(n, bip.degrees, bip.rows)
+def _round_mm(hw: HalfWeights, two_nu: int, checked: bool) -> Realization:
+    """``round_bipartite_mm`` on the half-weights of a realization that is
+    already validated, with 2*nu matched positions; ``hw`` is consumed."""
 
     def checked_state():
         hw.assert_weighted_degrees()
@@ -209,7 +208,8 @@ def realize_mm(d: DegreeSequence, checked: bool = False) -> Realization:
     n = d.n
     nu = _mm_search(_require_graphic(d))
     caps, partner = _mm_pattern(d, nu)
-    graph = _round_mm(_from_reduction_flow(n, 2 * nu, "mm", d.values, n, caps, partner), checked)
+    hw = _from_reduction_flow(n, 2 * nu, "mm", d.values, n, caps, partner)
+    graph = _round_mm(hw, 2 * nu, checked)
     if d.zero_count == 0:
         return graph
     return Realization(d.total_vertices, graph.edges, graph.certificate)

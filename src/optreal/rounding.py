@@ -9,7 +9,7 @@ it; it is always an even graph between pipeline stages.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterable
 
 from .errors import InternalError
 from .sequences import Certificate, Realization
@@ -24,68 +24,87 @@ __all__ = [
 ]
 
 
-class _Weights(dict):
-    """One vertex's nonzero half-unit weights; a missing pair reads as 0."""
-
-    __slots__ = ()
-
-    def __missing__(self, key):
-        return 0
-
-
 class HalfWeights:
     """Symmetric n-by-n half-unit weights with the half-weight subgraph tracked.
 
-    ``w[i]`` (i in 1..n; slot 0 unused) maps each j with a nonzero weight
-    w[i][j] to it and reads 0 for every other j, so the whole table takes
-    O(n + sum(d)) space.  ``half_adj[i]`` is the set of j with w[i][j] == 1
-    half-unit.  Readers that choose among pairs take the least index, so
-    no result depends on the order in which pairs were stored.
+    Two sets per vertex i (i in 1..n; slot 0 unused): ``full[i]`` holds the
+    j with w[i][j] == 2 half-units and ``half_adj[i]`` those with
+    w[i][j] == 1 half-unit, which is the half-weight subgraph itself; every
+    other pair weighs 0.  The whole table takes O(n + sum(d)) space.
+    Readers that choose among pairs take the least index, so no result
+    depends on the order in which pairs were stored.
     """
 
-    __slots__ = ("n", "degrees", "w", "half_adj")
+    __slots__ = ("n", "degrees", "full", "half_adj")
 
-    def __init__(self, n: int, degrees: tuple[int, ...], rows: list[list[int]]):
-        """Fold a sparse 0/1 bipartite incidence (``rows[i]`` lists the ones
-        of row i) into symmetric half-units: w[i][j] = A[i][j] + A[j][i]."""
+    def __init__(self, n: int, degrees: tuple[int, ...], full: list[set[int]],
+                 half_adj: list[set[int]]):
         self.n = n
         self.degrees = degrees
+        self.full = full
+        self.half_adj = half_adj
+
+    @classmethod
+    def fold(cls, n: int, degrees: tuple[int, ...],
+             incidence: Iterable[tuple[set[int], set[int]]]) -> "HalfWeights":
+        """Fold a 0/1 bipartite incidence into symmetric half-units,
+        w[i][j] = A[i][j] + A[j][i].  ``incidence`` yields, for i = 1..n in
+        turn, the set of ones in row i and the set of ones in column i.
+        The row set becomes vertex i's full-weight set in place; the
+        half-weight set is built from the two differences (``^`` would copy
+        a whole operand and keep its table size however much cancels).
+        """
+        full: list[set[int]] = [set()]
+        half_adj: list[set[int]] = [set()]
+        for out_i, in_i in incidence:
+            half = out_i - in_i
+            out_i -= half
+            half |= in_i - out_i
+            full.append(out_i)
+            half_adj.append(half)
+        return cls(n, degrees, full, half_adj)
+
+    @classmethod
+    def from_rows(cls, n: int, degrees: tuple[int, ...], rows: list[list[int]]) -> "HalfWeights":
+        """``fold`` of a sparse incidence given by rows alone (``rows[i]``
+        lists the ones of row i), transposed here."""
         cols: list[list[int]] = [[] for _ in range(n + 1)]
         for i in range(1, n + 1):
             for j in rows[i]:
                 cols[j].append(i)
-        self.w = [_Weights()]
-        self.half_adj: list[set[int]] = [set()]
-        for i in range(1, n + 1):
-            out_i, in_i = set(rows[i]), set(cols[i])
-            half = out_i ^ in_i
-            wi = _Weights.fromkeys(half, 1)
-            wi.update(dict.fromkeys(out_i & in_i, 2))
-            self.w.append(wi)
-            self.half_adj.append(half)
+        return cls.fold(n, degrees, ((set(rows[i]), set(cols[i])) for i in range(1, n + 1)))
+
+    def weight(self, i: int, j: int) -> int:
+        """w[i][j] in half-units."""
+        if j in self.full[i]:
+            return 2
+        return 1 if j in self.half_adj[i] else 0
 
     def set_weight(self, i: int, j: int, value: int):
-        wi, wj = self.w[i], self.w[j]
-        old = wi[j]
+        old = self.weight(i, j)
         if old == value:
             return
+        if old:
+            sets = self.full if old == 2 else self.half_adj
+            sets[i].discard(j)
+            sets[j].discard(i)
         if value:
-            wi[j] = value
-            wj[i] = value
-        else:
-            del wi[j]
-            del wj[i]
-        if old == 1:
-            self.half_adj[i].discard(j)
-            self.half_adj[j].discard(i)
-        if value == 1:
-            self.half_adj[i].add(j)
-            self.half_adj[j].add(i)
+            sets = self.full if value == 2 else self.half_adj
+            sets[i].add(j)
+            sets[j].add(i)
 
-    def integral_edges(self) -> list[tuple[int, int]]:
-        """All pairs (i < j) of weight 1 (two half-units), in no set order."""
-        return [(i, j) for i in range(1, self.n + 1)
-                for j, v in self.w[i].items() if j > i and v == 2]
+    def take_integral_edges(self) -> list[tuple[int, int]]:
+        """All pairs (i < j) of weight 1 (two half-units), in no set order,
+        taken out of the table: each vertex's sets are released as soon as
+        its pairs are read, so the edges reuse their memory, and the table
+        holds no weights afterwards."""
+        full, half_adj = self.full, self.half_adj
+        edges: list[tuple[int, int]] = []
+        for i in range(1, self.n + 1):
+            edges += [(i, j) for j in full[i] if j > i]
+            full[i] = half_adj[i] = None
+        self.full = self.half_adj = None
+        return edges
 
     # Checked-mode invariants.  Each reads every stored weight, and the
     # pipelines call them after every modification when checked=True, so
@@ -93,7 +112,7 @@ class HalfWeights:
 
     def assert_weighted_degrees(self):
         for i in range(1, self.n + 1):
-            total = sum(self.w[i].values())
+            total = 2 * len(self.full[i]) + len(self.half_adj[i])
             if total != 2 * self.degrees[i - 1]:
                 raise InternalError(
                     f"weighted degree of vertex {i} is {total} half-units, "
@@ -106,13 +125,14 @@ class HalfWeights:
 
     def assert_domination_weight(self, gamma: int):
         for s in range(gamma + 1, self.n + 1):
-            if sum(v for x, v in self.w[s].items() if x <= gamma) < 2:
+            if (sum(2 for x in self.full[s] if x <= gamma)
+                    + sum(1 for x in self.half_adj[s] if x <= gamma)) < 2:
                 raise InternalError(
                     f"vertex {s} holds less than one unit of weight toward the prefix")
 
     def assert_matching_weights(self, two_nu: int):
         for i in range(1, two_nu + 1):
-            if self.w[i][two_nu - i + 1] != 2:
+            if two_nu - i + 1 not in self.full[i]:
                 raise InternalError(
                     f"matching pair ({i}, {two_nu - i + 1}) lost its full weight")
 
@@ -166,7 +186,7 @@ def apply_alternation(hw: HalfWeights, walk: list[int], odd_weight: int):
     u = walk[0]
     for pos in range(1, len(walk)):
         v = walk[pos]
-        if hw.w[u][v] != 1:
+        if v not in hw.half_adj[u]:
             raise InternalError(f"walk edge ({u}, {v}) is not half-weight")
         hw.set_weight(u, v, odd_weight if pos % 2 == 1 else even_weight)
         u = v
@@ -174,7 +194,7 @@ def apply_alternation(hw: HalfWeights, walk: list[int], odd_weight: int):
 
 def toggle_integral_edge(hw: HalfWeights, x: int, y: int) -> int:
     """Flip an integral-weight pair between 0 and 1, returning its old unit value."""
-    v = hw.w[x][y]
+    v = hw.weight(x, y)
     if v == 1:
         raise InternalError(f"pair ({x}, {y}) is half-weight; cannot toggle")
     hw.set_weight(x, y, 2 - v)
@@ -200,6 +220,8 @@ def round_half_weights(hw: HalfWeights, protected: set[tuple[int, int]],
 
     ``check``, when given, is called after every individual modification.
     A graph whose degrees differ from ``hw.degrees`` raises InternalError.
+    The graph's edges are taken out of ``hw``, which holds no weights
+    afterwards.
     """
     adj = [set(neigh) for neigh in hw.half_adj]
     for a, s, b in triangles:
@@ -207,6 +229,7 @@ def round_half_weights(hw: HalfWeights, protected: set[tuple[int, int]],
             adj[u].discard(v)
             adj[v].discard(u)
     walks = partition_into_circuits(adj, hw.n)
+    del adj  # emptied, but its sets keep their tables
 
     # cycle record: (walk, triangle center s or None)
     cycles = [(walk, None) for walk in walks] + [([a, s, b, a], s) for a, s, b in triangles]
@@ -244,7 +267,7 @@ def round_half_weights(hw: HalfWeights, protected: set[tuple[int, int]],
             for walk, center in (first, second):
                 if center is not None:
                     others = [v for v in walk[:3] if v != center]
-                    if hw.w[center][others[0]] != 2 and hw.w[center][others[1]] != 2:
+                    if others[0] not in hw.full[center] and others[1] not in hw.full[center]:
                         raise InternalError(
                             f"triangle center {center} lost both prefix edges")
         if check:
@@ -253,7 +276,7 @@ def round_half_weights(hw: HalfWeights, protected: set[tuple[int, int]],
     for i in range(1, hw.n + 1):
         if hw.half_adj[i]:
             raise InternalError(f"half-weight edges remain at vertex {i}")
-    graph = Realization(hw.n, frozenset(hw.integral_edges()), certificate)
+    graph = Realization(hw.n, frozenset(hw.take_integral_edges()), certificate)
     if graph.degrees() != hw.degrees:
         raise InternalError("rounded graph does not carry the input degrees")
     return graph
@@ -270,7 +293,7 @@ def _choose_connector(hw: HalfWeights, first, second, protected):
             pair = (x, y) if x < y else (y, x)
             if pair in protected:
                 continue
-            if hw.w[x][y] == 1:
+            if y in hw.half_adj[x]:
                 continue
             return x, y
     raise InternalError("no usable pair joins two disjoint odd cycles")

@@ -37,6 +37,10 @@ class DegreeSequence:
     values: tuple[int, ...]
     zero_count: int = 0
 
+    # ``values`` as a read-only int64 array when the sequence was built from
+    # one (see ``_from_array``); not a field, so equality ignores it.
+    _array = None
+
     def __post_init__(self):
         for i, v in enumerate(self.values):
             if type(v) is not int or v < 1:  # exact int: bool and subclasses are rejected
@@ -68,7 +72,10 @@ class DegreeSequence:
         """Build from a non-increasing int64 array of positive degrees.
 
         Checks what ``__post_init__`` checks, with numpy instead of a loop
-        per entry: ``tolist`` of an int64 array yields exact ints.
+        per entry: ``tolist`` of an int64 array yields exact ints.  The
+        sequence keeps a read-only contiguous copy of ``desc`` as ``_array``,
+        so the value path reads the degrees without converting ``values``
+        back.
         """
         if desc.dtype != np.int64 or desc.ndim != 1:
             raise DomainError("degrees must be a one-dimensional int64 array")
@@ -78,9 +85,12 @@ class DegreeSequence:
             raise DomainError("degrees must be positive")
         if zero_count < 0:
             raise DomainError("zero_count must be non-negative")
+        arr = np.array(desc, order="C")
+        arr.flags.writeable = False
         seq = object.__new__(cls)
-        object.__setattr__(seq, "values", tuple(desc.tolist()))
+        object.__setattr__(seq, "values", tuple(arr.tolist()))
         object.__setattr__(seq, "zero_count", zero_count)
+        object.__setattr__(seq, "_array", arr)
         return seq
 
     @property
@@ -178,11 +188,19 @@ def _degree_reaches_n(d: DegreeSequence) -> bool:
     return d.n > 0 and d.values[0] >= d.n
 
 
+def _values_array(d: DegreeSequence) -> np.ndarray:
+    """``d.values`` as an int64 array: the one ``d`` keeps, if any, else a
+    fresh conversion (each call converts again; nothing is cached)."""
+    if d._array is not None:
+        return d._array
+    return np.asarray(d.values, dtype=np.int64)
+
+
 def _graphic_array(d: DegreeSequence) -> Optional[np.ndarray]:
     """``d.values`` as an int64 array if ``d`` is graphic, else None."""
     if _degree_reaches_n(d):
         return None
-    arr = np.asarray(d.values, dtype=np.int64)
+    arr = _values_array(d)
     if int(arr.sum()) % 2 != 0 or not _eg_inequalities_hold(arr):
         return None
     return arr

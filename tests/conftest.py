@@ -15,7 +15,8 @@ settings.load_profile("tier1")
 
 def pytest_addoption(parser):
     parser.addoption("--scale", action="store_true",
-                     help="also run the opt-in n = 10^4 and 10^5 realize test (tests/test_scale.py)")
+                     help="also run the opt-in dense n = 2000 and sparse n = 10^4, 10^5 "
+                          "realize tests (tests/test_scale.py)")
 
 
 def all_positive_sequences(n: int):

@@ -28,6 +28,15 @@ from conftest import all_positive_sequences, random_graphic_sequence
 DS = DegreeSequence
 
 
+def transpose(rows, n):
+    """Per-column sets of the rows with a one in that column."""
+    cols = [set() for _ in range(n + 1)]
+    for i, row in enumerate(rows):
+        for j in row:
+            cols[j].add(i)
+    return cols
+
+
 def implicit_arc_flows(d: DegreeSequence, k: int, mds: bool, net):
     """The implicit flow for (d, k) as (value, per-arc flows of ``net``).
 
@@ -36,9 +45,13 @@ def implicit_arc_flows(d: DegreeSequence, k: int, mds: bool, net):
     """
     n = d.n
     if mds:
-        value, rows, sup_rows = _reduction_max_flow(n, k, (0,) + d.values, [0] * (n + 1))
+        value, rows, cols, sup_rows, sup_cols = _reduction_max_flow(
+            n, k, (0,) + d.values, [0] * (n + 1))
     else:
-        value, rows, sup_rows = _reduction_max_flow(n, n, *_mm_pattern(d, k))
+        value, rows, cols, sup_rows, sup_cols = _reduction_max_flow(n, n, *_mm_pattern(d, k))
+    # the column sets are the exact transposes of the row sets
+    assert cols == transpose(rows, n), (d.values, k, mds)
+    assert sup_cols == transpose(sup_rows, n), (d.values, k, mds)
     r = n - k if mds else 0
     xp0, yp0 = 2 * n - k, 2 * n + r - k  # x'_i = xp0 + i, y'_j = yp0 + j
     col, sup_col = [0] * (n + 1), [0] * (n + 1)

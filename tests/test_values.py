@@ -11,13 +11,14 @@ import random
 import re
 
 import numpy as np
+import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from optreal import (DegreeSequence, DomainError, NotGraphicError, OptrealError,
                      ParseError, is_graphic, mds_feasible, mds_value, mm_value,
                      parse_sequence)
-from optreal import dominating, matching
+from optreal import dominating, matching, sequences
 from optreal.sequences import _eg_inequalities_hold
 
 from conftest import graphic_sequences_upto, random_graphic_sequence
@@ -133,6 +134,9 @@ def parse_outcome(parse, text):
     except OptrealError as e:
         return type(e), str(e)
     assert all(type(v) is int for v in d.values)
+    if d._array is not None:   # the numpy path keeps its array
+        assert d._array.tolist() == list(d.values)
+        assert not d._array.flags.writeable
     return d
 
 
@@ -168,3 +172,20 @@ def degree_texts(draw):
 @example("\t３ ٣,1_000 +2 05 0 0\n")
 def test_parse_matches_per_token_path(text):
     assert parse_outcome(parse_sequence, text) == parse_outcome(per_token_parse, text)
+
+
+def test_parsed_sequence_keeps_a_read_only_array():
+    d = parse_sequence("3 0 3 2, 2 1 1")
+    arr = d._array
+    assert arr.dtype == np.int64 and arr.flags.c_contiguous
+    assert arr.tolist() == list(d.values) == [3, 3, 2, 2, 1, 1]
+    assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        arr[0] = 0
+    # the graphic gate reads the kept array; a sequence built from a tuple
+    # keeps none and is converted on each call
+    assert sequences._graphic_array(d) is arr
+    twin = DegreeSequence(d.values, d.zero_count)
+    assert twin == d and hash(twin) == hash(d) and twin._array is None
+    assert sequences._graphic_array(twin).tolist() == arr.tolist()
+    assert (mds_value(d), mm_value(d)) == (mds_value(twin), mm_value(twin))
