@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal
 
-from .errors import ContractError, InternalError
+from .errors import ContractError, InfeasibleError, InternalError
 from .flow import _reduction_max_flow
 from .rounding import HalfWeights
 
@@ -113,11 +113,41 @@ def _validated(bip: BipartiteRealization) -> BipartiteRealization:
     return bip
 
 
-def _from_flow_rows(n: int, prefix: int, mode: Literal["mds", "mm"],
-                    degrees: tuple[int, ...], rows) -> BipartiteRealization:
-    """The realization with ones at the columns ``rows[i]`` of each row i,
-    read off a saturating flow and validated once; each ``rows[i]`` is
-    replaced in place by its sorted list."""
+def _from_assignment(n: int, prefix: int, mode: Literal["mds", "mm"],
+                     degrees: tuple[int, ...], flow_prefix: int, caps, partner,
+                     assignment) -> BipartiteRealization:
+    """The realization carried by ``assignment``, a flow on the reduction
+    network with pattern (``flow_prefix``, ``caps``, ``partner``); see
+    ``flow._build_reduction_network``.
+
+    Row i's ones are its x_i -> y_j and x'_i -> y'_j units plus
+    ``partner[i]``, a pair the network omits.  An assignment on another
+    network (its node count, sink or source capacities differ) raises
+    ContractError, and a flow short of ``sum(caps)`` raises InfeasibleError.
+    The sorted rows are validated once (see ``_validated``).
+    """
+    net = assignment.network
+    r = n - flow_prefix
+    if (net.node_count != 2 * n + 2 * r + 2 or net.sink != 2 * n + 2 * r + 1
+            or list(net.caps[:n]) != list(caps[1:])):
+        raise ContractError(
+            f"assignment does not belong to the {mode} reduction network with prefix {prefix}")
+    if assignment.value < sum(caps):
+        shape = (f"a dominating prefix of length {prefix}" if mode == "mds"
+                 else f"an inverted prefix matching of size {prefix // 2}")
+        raise InfeasibleError(
+            f"flow value {assignment.value} < {sum(caps)}: no realization with {shape}")
+    xp0 = 2 * n - flow_prefix   # x'_i = xp0 + i, y'_j = xp0 + r + j
+    rows = [[p] if p else [] for p in partner]
+    flows, tails, heads = assignment.flows, net.tails, net.heads
+    for k in range(net.arc_count):
+        if flows[k] != 1:
+            continue
+        u, v = tails[k], heads[k]
+        if 1 <= u <= n and n < v <= 2 * n:
+            rows[u].append(v - n)
+        elif 2 * n < u <= 2 * n + r < v:
+            rows[u - xp0].append(v - xp0 - r)
     for i, cols in enumerate(rows):
         rows[i] = sorted(cols)
     return _validated(BipartiteRealization(n, prefix, mode, degrees, rows))

@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bipartite import (BipartiteRealization, _from_flow_rows,
+from .bipartite import (BipartiteRealization, _from_assignment,
                         _from_reduction_flow)
-from .errors import (ContractError, DomainError, InfeasibleError,
-                     InternalError)
-from .flow import FlowAssignment, FlowNetwork
+from .errors import ContractError, DomainError, InternalError
+from .flow import FlowAssignment, FlowNetwork, _build_reduction_network
 from .rounding import HalfWeights, round_half_weights
 from .sequences import (DegreeSequence, DominatingSet, Realization,
                         _degree_reaches_n, _eg_inequalities_hold,
@@ -132,78 +131,32 @@ def _mds_search(values: np.ndarray) -> int:
     return _first_holding(lambda gamma: _systems_hold(values, gamma), bound, n)
 
 
+def _mds_pattern(d: DegreeSequence, gamma: int):
+    """Reduction pattern (prefix, caps, partner) for (d, gamma): the gamma
+    prefix rows and columns connect directly, every source and sink
+    capacity is the degree, and no pair besides the diagonal is excluded."""
+    return gamma, (0,) + d.values, [0] * (d.n + 1)
+
+
 def build_mds_flow(d: DegreeSequence, gamma: int) -> FlowNetwork:
     """Reduction network whose saturation certifies a gamma-prefix-dominated
     bipartite realization of (d, d).
 
-    Node layout: source 0; x_1..x_n are 1..n; y_1..y_n are n+1..2n;
-    supplementary x'_i (i > gamma) come next, then y'_j, then the sink.
-    The prefix rows/columns connect directly; nonprefix pairs route through
-    the supplementary nodes with capacity d_i - 1, which forces every
-    nonprefix vertex to spend at least one unit on a prefix partner.
-    Diagonal pairs (x_i, y_i) and (x'_i, y'_i) are omitted.
+    The nonprefix pairs route through supplementary nodes with capacity
+    d_i - 1, which forces every nonprefix vertex to spend at least one unit
+    on a prefix partner; see ``flow._build_reduction_network`` for the node
+    layout.
     """
     if not (1 <= gamma <= d.n):
         raise DomainError(f"gamma={gamma} out of range [1, {d.n}]")
-    n = d.n
-    r = n - gamma
-    vals = d.values
-    source = 0
-    sink = 2 * n + 2 * r + 1
-    xp0 = 2 * n - gamma        # x'_i = xp0 + i for i in gamma+1..n
-    yp0 = 2 * n + r - gamma    # y'_j = yp0 + j
-
-    def arcs():
-        for i in range(1, n + 1):
-            yield (source, i, vals[i - 1])
-        for i in range(1, gamma + 1):
-            for j in range(1, n + 1):
-                if j != i:
-                    yield (i, n + j, 1)
-        for i in range(gamma + 1, n + 1):
-            for j in range(1, gamma + 1):
-                yield (i, n + j, 1)
-        for i in range(gamma + 1, n + 1):
-            yield (i, xp0 + i, vals[i - 1] - 1)
-        for i in range(gamma + 1, n + 1):
-            for j in range(gamma + 1, n + 1):
-                if j != i:
-                    yield (xp0 + i, yp0 + j, 1)
-        for j in range(gamma + 1, n + 1):
-            yield (yp0 + j, n + j, vals[j - 1] - 1)
-        for j in range(1, n + 1):
-            yield (n + j, sink, vals[j - 1])
-
-    return FlowNetwork(2 * n + 2 * r + 2, source, sink, arcs())
+    return _build_reduction_network(d.n, *_mds_pattern(d, gamma))
 
 
 def extract_bipartite_mds(d: DegreeSequence, gamma: int,
                           assignment: FlowAssignment) -> BipartiteRealization:
     """Read a prefix-dominated bipartite realization off a saturating flow."""
     _check_gamma(d, gamma)
-    n = d.n
-    r = n - gamma
-    net = assignment.network
-    if net.node_count != 2 * n + 2 * r + 2 or net.sink != 2 * n + 2 * r + 1:
-        raise ContractError("assignment does not belong to the reduction network for (d, gamma)")
-    if assignment.value < d.total:
-        raise InfeasibleError(
-            f"flow value {assignment.value} < {d.total}: no realization with a "
-            f"dominating prefix of length {gamma}")
-    xp0 = 2 * n - gamma
-    yp0 = 2 * n + r - gamma
-    rows = [[] for _ in range(n + 1)]
-    flows = assignment.flows
-    tails, heads = net.tails, net.heads
-    for k in range(net.arc_count):
-        if flows[k] != 1:
-            continue
-        u, v = tails[k], heads[k]
-        if 1 <= u <= n and n + 1 <= v <= 2 * n:
-            rows[u].append(v - n)
-        elif 2 * n + 1 <= u <= 2 * n + r and 2 * n + r + 1 <= v <= 2 * n + 2 * r:
-            rows[u - xp0].append(v - yp0)
-    return _from_flow_rows(n, gamma, "mds", d.values, rows)
+    return _from_assignment(d.n, gamma, "mds", d.values, *_mds_pattern(d, gamma), assignment)
 
 
 def _find_two_dom_path(hw: HalfWeights, gamma: int, s: int):
@@ -330,8 +283,7 @@ def realize_mds(d: DegreeSequence, checked: bool = False) -> Realization:
     """
     n = d.n
     gamma = _mds_search(_require_graphic(d))
-    hw = _from_reduction_flow(n, gamma, "mds", d.values, gamma,
-                              (0,) + d.values, [0] * (n + 1))
+    hw = _from_reduction_flow(n, gamma, "mds", d.values, *_mds_pattern(d, gamma))
     graph = _round_mds(hw, gamma, checked)
     zeros = d.zero_count
     if zeros == 0:

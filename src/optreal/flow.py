@@ -10,12 +10,14 @@ exclusion" blocks.  The realization pipelines therefore never build them:
 ``_reduction_max_flow`` runs the same Dinic on the block pattern, in
 O(n + flow) per phase, and returns the same flow arc for arc as sets of unit
 pairs by row and by column, which the pipelines fold straight into
-half-weights.  The explicit builders (``build_mds_flow``,
-``build_mm_flow``) with ``max_flow`` remain the public reference it is
-tested against.  Its BFS reaches block columns and reverse rows by C-level
-set difference.  The two phases that carry almost all of the flow, phase 1
-and the x' -> y' tail of the distance-5 phase, run as closed-form loops
-that take the DFS's own steps and count units once per row.
+half-weights.  ``_build_reduction_network`` lays the same pattern out as
+an explicit network; the public builders (``build_mds_flow``,
+``build_mm_flow``) wrap it and, with ``max_flow``, remain the reference
+the solver is tested against.  The solver's BFS reaches block columns and
+reverse rows by C-level set difference.  The two phases that carry almost
+all of the flow, phase 1 and the x' -> y' tail of the distance-5 phase, run
+as closed-form loops that take the DFS's own steps and count units once per
+row.
 """
 
 from __future__ import annotations
@@ -203,17 +205,55 @@ def max_flow(net: FlowNetwork) -> FlowAssignment:
     return FlowAssignment(net, flows, total)
 
 
+def _build_reduction_network(n: int, prefix: int, caps, partner) -> FlowNetwork:
+    """The reduction network with pattern (``prefix``, ``caps``, ``partner``);
+    ``build_mds_flow`` and ``build_mm_flow`` lay out their objective's
+    pattern with it.
+
+    Node layout: source 0; x_1..x_n are 1..n; y_1..y_n are n+1..2n;
+    supplementary x'_i (i > prefix) come next, then y'_j, then the sink.
+    Arcs, in insertion order: s -> x_i of capacity ``caps[i]``; the unit
+    arcs x_i -> y_j for j not in {i, partner[i]} with i <= prefix or
+    j <= prefix; x_i -> x'_i of capacity ``caps[i] - 1``; the unit arcs
+    x'_i -> y'_j for i != j; y'_j -> y_j of capacity ``caps[j] - 1``;
+    y_j -> t of capacity ``caps[j]``.  The prefix rows and columns connect
+    directly, and nonprefix pairs route through the supplementary nodes,
+    which forces every nonprefix row and column to spend at least one unit
+    on the prefix.  ``caps`` and ``partner`` are 1-based (slot 0 unused; a
+    partner of 0 excludes nothing).  At ``prefix == n`` there are no
+    supplementary nodes.
+    """
+    r = n - prefix
+    sink = 2 * n + 2 * r + 1
+    xp0 = 2 * n - prefix   # x'_i = xp0 + i for i > prefix
+    yp0 = xp0 + r          # y'_j = yp0 + j
+
+    def arcs():
+        for i in range(1, n + 1):
+            yield (0, i, caps[i])
+        for i in range(1, n + 1):
+            for j in range(1, (n if i <= prefix else prefix) + 1):
+                if j != i and j != partner[i]:
+                    yield (i, n + j, 1)
+        for i in range(prefix + 1, n + 1):
+            yield (i, xp0 + i, caps[i] - 1)
+        for i in range(prefix + 1, n + 1):
+            for j in range(prefix + 1, n + 1):
+                if j != i:
+                    yield (xp0 + i, yp0 + j, 1)
+        for j in range(prefix + 1, n + 1):
+            yield (yp0 + j, n + j, caps[j] - 1)
+        for j in range(1, n + 1):
+            yield (n + j, sink, caps[j])
+
+    return FlowNetwork(sink + 1, 0, sink, arcs())
+
+
 def _reduction_max_flow(n: int, prefix: int, caps, partner):
     """Dinic's algorithm on a reduction network given by its pattern.
 
-    The network is the one ``build_mds_flow`` and ``build_mm_flow`` lay out,
-    without its O(n^2) arc arrays.  Nodes: source s, x_i and y_j (1 <= i, j
-    <= n), x'_i and y'_j for i, j > ``prefix``, sink t.  Explicit arcs:
-    s -> x_i and y_i -> t of capacity ``caps[i]``; x_i -> x'_i and
-    y'_i -> y_i of capacity ``caps[i] - 1``.  Unit blocks: x_i -> y_j for
-    j not in {i, partner[i]} with i <= prefix or j <= prefix; x'_i -> y'_j
-    for i != j.  ``caps`` and ``partner`` are 1-based (slot 0 unused; a
-    partner of 0 excludes nothing).
+    The network is the one ``_build_reduction_network`` lays out for the
+    same arguments, without its O(n^2) arc arrays.
 
     The flow is kept as sets of unit pairs, by row and by column; the other
     arcs carry what conservation gives them: x_i -> x'_i carries

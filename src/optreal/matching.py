@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bipartite import (BipartiteRealization, _from_flow_rows,
+from .bipartite import (BipartiteRealization, _from_assignment,
                         _from_reduction_flow)
-from .errors import (ContractError, DomainError, FlipError, InfeasibleError,
-                     InternalError)
-from .flow import FlowAssignment, FlowNetwork
+from .errors import ContractError, DomainError, FlipError, InternalError
+from .flow import FlowAssignment, FlowNetwork, _build_reduction_network
 from .rounding import HalfWeights, round_half_weights
 from .sequences import (DegreeSequence, Matching, Realization,
                         _eg_inequalities_hold, _first_holding,
@@ -53,36 +52,24 @@ def build_mm_flow(d: DegreeSequence, nu: int) -> FlowNetwork:
     """Reduction network whose saturation at sum(d) - 2*nu certifies a
     realization pair with the inverted prefix matching.
 
-    Node layout: source 0, x_1..x_n are 1..n, y_1..y_n are n+1..2n, sink
-    2n+1.  Matched positions (i <= 2*nu) get source/sink capacity d_i - 1;
-    the unit arcs omit the diagonal (x_i, y_i) and the matched partners
-    (x_i, y_{2nu-i+1}).
+    Every position is a prefix position, so there are no supplementary
+    nodes: source 0, x_1..x_n are 1..n, y_1..y_n are n+1..2n, sink 2n+1
+    (see ``flow._build_reduction_network``).  Matched positions (i <= 2*nu)
+    get source/sink capacity d_i - 1; the unit arcs omit the diagonal
+    (x_i, y_i) and the matched partners (x_i, y_{2nu-i+1}).
     """
     _check_nu(d, nu)
-    n = d.n
-    caps, partner = _mm_pattern(d, nu)
-    sink = 2 * n + 1
-
-    def arcs():
-        for i in range(1, n + 1):
-            yield (0, i, caps[i])
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if j != i and j != partner[i]:
-                    yield (i, n + j, 1)
-        for j in range(1, n + 1):
-            yield (n + j, sink, caps[j])
-
-    return FlowNetwork(2 * n + 2, 0, sink, arcs())
+    return _build_reduction_network(d.n, *_mm_pattern(d, nu))
 
 
-def _mm_pattern(d: DegreeSequence, nu: int) -> tuple[list[int], list[int]]:
-    """Source/sink capacity and excluded partner of each position (1-based):
-    a matched position i <= 2*nu spends one unit on the pair (i, 2*nu-i+1)."""
+def _mm_pattern(d: DegreeSequence, nu: int) -> tuple[int, list[int], list[int]]:
+    """Reduction pattern (prefix, caps, partner) for (d, nu): every position
+    is a prefix position, and a matched position i <= 2*nu spends one unit
+    of its capacity on the pair (i, 2*nu-i+1), which the network omits."""
     two_nu = 2 * nu
     caps = [0] + [v - 1 if i <= two_nu else v for i, v in enumerate(d.values, 1)]
     partner = [0] + [two_nu - i + 1 if i <= two_nu else 0 for i in range(1, d.n + 1)]
-    return caps, partner
+    return d.n, caps, partner
 
 
 def _mm_feasible_reduction(values: np.ndarray, nu: int) -> bool:
@@ -145,22 +132,7 @@ def extract_bipartite_mm(d: DegreeSequence, nu: int,
     """Read an inverted-prefix-matched bipartite realization off a
     saturating flow, adding the matching pairs the network omits."""
     _check_nu(d, nu)
-    n = d.n
-    net = assignment.network
-    if net.node_count != 2 * n + 2 or net.sink != 2 * n + 1:
-        raise ContractError("assignment does not belong to the reduction network for (d, nu)")
-    target = d.total - 2 * nu
-    if assignment.value < target:
-        raise InfeasibleError(
-            f"flow value {assignment.value} < {target}: no realization with "
-            f"an inverted prefix matching of size {nu}")
-    rows = [[2 * nu - i + 1] if 1 <= i <= 2 * nu else [] for i in range(n + 1)]
-    flows = assignment.flows
-    tails, heads = net.tails, net.heads
-    for k in range(net.arc_count):
-        if flows[k] == 1 and 1 <= tails[k] <= n and n + 1 <= heads[k] <= 2 * n:
-            rows[tails[k]].append(heads[k] - n)
-    return _from_flow_rows(n, 2 * nu, "mm", d.values, rows)
+    return _from_assignment(d.n, 2 * nu, "mm", d.values, *_mm_pattern(d, nu), assignment)
 
 
 def round_bipartite_mm(bip: BipartiteRealization, checked: bool = False) -> Realization:
@@ -207,8 +179,7 @@ def realize_mm(d: DegreeSequence, checked: bool = False) -> Realization:
     """
     n = d.n
     nu = _mm_search(_require_graphic(d))
-    caps, partner = _mm_pattern(d, nu)
-    hw = _from_reduction_flow(n, 2 * nu, "mm", d.values, n, caps, partner)
+    hw = _from_reduction_flow(n, 2 * nu, "mm", d.values, *_mm_pattern(d, nu))
     graph = _round_mm(hw, 2 * nu, checked)
     if d.zero_count == 0:
         return graph

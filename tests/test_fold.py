@@ -18,6 +18,7 @@ import pytest
 from optreal import DegreeSequence, mds_value, mm_value, realize_mds, realize_mm
 from optreal import bipartite
 from optreal.bipartite import _from_reduction_flow
+from optreal.dominating import _mds_pattern
 from optreal.matching import _mm_pattern
 from optreal.rounding import HalfWeights
 
@@ -50,11 +51,10 @@ def both_folds(monkeypatch, d: DegreeSequence, mds: bool):
     n = d.n
     if mds:
         gamma = mds_value(d)
-        hw = _from_reduction_flow(n, gamma, "mds", d.values, gamma,
-                                  (0,) + d.values, [0] * (n + 1))
+        hw = _from_reduction_flow(n, gamma, "mds", d.values, *_mds_pattern(d, gamma))
     else:
         nu = mm_value(d)
-        hw = _from_reduction_flow(n, 2 * nu, "mm", d.values, n, *_mm_pattern(d, nu))
+        hw = _from_reduction_flow(n, 2 * nu, "mm", d.values, *_mm_pattern(d, nu))
     (bip,) = validated
     return hw, HalfWeights.from_rows(bip.n, bip.degrees, bip.rows)
 

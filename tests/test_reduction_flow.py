@@ -1,9 +1,10 @@
 """The implicit reduction-network flow against the explicit reference.
 
-``realize_mds``/``realize_mm`` solve the reduction networks on their block
+``realize_mds``/``realize_mm`` solve the reduction networks on their
 pattern (``flow._reduction_max_flow``).  Here that flow is laid out in the
-arc order of ``build_mds_flow``/``build_mm_flow`` and compared with
-``max_flow`` on the built network arc for arc, saturating or not, and the
+arc order of ``flow._build_reduction_network`` and compared with
+``max_flow`` on the built network arc for arc, saturating or not, on the
+patterns of both objectives and on patterns neither produces.  The
 realize witnesses are compared with the composed explicit route.
 """
 
@@ -15,12 +16,14 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import optreal
-from optreal import (BipartiteRealization, DegreeSequence, build_mds_flow,
-                     build_mm_flow, extract_bipartite_mds, extract_bipartite_mm, is_graphic,
-                     max_flow, mds_value, mm_value, realize_mds, realize_mm,
+from optreal import (BipartiteRealization, ContractError, DegreeSequence,
+                     build_mds_flow, build_mm_flow, extract_bipartite_mds,
+                     extract_bipartite_mm, is_graphic, max_flow, mds_systems_hold,
+                     mds_value, mm_feasible, mm_value, realize_mds, realize_mm,
                      round_bipartite_mds, round_bipartite_mm, verify_dominating,
                      verify_matching)
-from optreal.flow import _reduction_max_flow
+from optreal.dominating import _mds_pattern
+from optreal.flow import _build_reduction_network, _reduction_max_flow
 from optreal.matching import _mm_pattern
 
 from conftest import all_positive_sequences, random_graphic_sequence
@@ -37,23 +40,20 @@ def transpose(rows, n):
     return cols
 
 
-def implicit_arc_flows(d: DegreeSequence, k: int, mds: bool, net):
-    """The implicit flow for (d, k) as (value, per-arc flows of ``net``).
+def implicit_arc_flows(n: int, pattern, net):
+    """The implicit flow on ``pattern`` = (prefix, caps, partner) as
+    (value, per-arc flows of ``net``), its built network.
 
     Only unit arcs are returned by the solver; every other arc's flow
     follows by conservation at x_i, x'_i, y'_j and y_j.
     """
-    n = d.n
-    if mds:
-        value, rows, cols, sup_rows, sup_cols = _reduction_max_flow(
-            n, k, (0,) + d.values, [0] * (n + 1))
-    else:
-        value, rows, cols, sup_rows, sup_cols = _reduction_max_flow(n, n, *_mm_pattern(d, k))
+    value, rows, cols, sup_rows, sup_cols = _reduction_max_flow(n, *pattern)
     # the column sets are the exact transposes of the row sets
-    assert cols == transpose(rows, n), (d.values, k, mds)
-    assert sup_cols == transpose(sup_rows, n), (d.values, k, mds)
-    r = n - k if mds else 0
-    xp0, yp0 = 2 * n - k, 2 * n + r - k  # x'_i = xp0 + i, y'_j = yp0 + j
+    assert cols == transpose(rows, n), (n, pattern)
+    assert sup_cols == transpose(sup_rows, n), (n, pattern)
+    r = n - pattern[0]
+    xp0 = 2 * n - pattern[0]   # x'_i = xp0 + i, y'_j = xp0 + r + j
+    yp0 = xp0 + r
     col, sup_col = [0] * (n + 1), [0] * (n + 1)
     for i in range(1, n + 1):
         for j in rows[i]:
@@ -76,14 +76,24 @@ def implicit_arc_flows(d: DegreeSequence, k: int, mds: bool, net):
     return value, flows
 
 
-def assert_same_flow(d: DegreeSequence, k: int, mds: bool) -> bool:
-    """Assert the implicit flow equals the explicit one; True if it saturates."""
-    net = (build_mds_flow if mds else build_mm_flow)(d, k)
+def assert_same_pattern_flow(n: int, pattern, net=None) -> bool:
+    """Assert the implicit flow on ``pattern`` equals ``max_flow`` on its
+    built network (``net`` if given); True if it saturates."""
+    if net is None:
+        net = _build_reduction_network(n, *pattern)
     reference = max_flow(net)
-    value, flows = implicit_arc_flows(d, k, mds, net)
-    assert value == reference.value, (d.values, k, mds)
-    assert flows == list(reference.flows), (d.values, k, mds)
-    return value == (d.total if mds else d.total - 2 * k)
+    value, flows = implicit_arc_flows(n, pattern, net)
+    assert value == reference.value, (n, pattern)
+    assert flows == list(reference.flows), (n, pattern)
+    return value == sum(pattern[1])
+
+
+def assert_same_flow(d: DegreeSequence, k: int, mds: bool) -> bool:
+    """``assert_same_pattern_flow`` on the public builder's network for
+    (d, k); True if it saturates."""
+    pattern = (_mds_pattern if mds else _mm_pattern)(d, k)
+    net = (build_mds_flow if mds else build_mm_flow)(d, k)
+    return assert_same_pattern_flow(d.n, pattern, net)
 
 
 def test_implicit_flow_matches_explicit_exhaustive():
@@ -159,6 +169,65 @@ def test_implicit_mds_flow_matches_explicit(case):
 @example((DS((5, 1, 1, 1, 1, 1)), 3))   # a star matches one pair only
 def test_implicit_mm_flow_matches_explicit(case):
     assert_same_flow(*case, False)
+
+
+@st.composite
+def patterns(draw, max_n=9):
+    """(n, pattern) with a prefix in [0, n], capacities of at least 1 past
+    the prefix and arbitrary partners (0 excludes nothing): mostly patterns
+    that neither objective produces."""
+    n = draw(st.integers(1, max_n))
+    prefix = draw(st.integers(0, n))
+    caps = [0] + [draw(st.integers(int(i > prefix), n)) for i in range(1, n + 1)]
+    partner = [0] + draw(st.lists(st.integers(0, n), min_size=n, max_size=n))
+    return n, (prefix, caps, partner)
+
+
+@given(patterns())
+@example((4, (2, [0, 3, 3, 2, 2], [0, 2, 1, 4, 3])))   # partners past the prefix
+@example((3, (0, [0, 2, 2, 2], [0, 0, 0, 0])))         # no prefix
+@example((5, (3, [0, 4, 1, 3, 1, 2], [0, 1, 5, 0, 2, 2])))
+def test_implicit_flow_matches_explicit_on_any_pattern(case):
+    assert_same_pattern_flow(*case)
+
+
+def test_characterization_matches_saturation_exhaustive_n8():
+    # the constraint systems against saturation of the mds pattern, at any
+    # parity; gamma = 0 for every n <= 8 (it never saturates)
+    for n in range(1, 9):
+        for d in all_positive_sequences(n):
+            for gamma in (range(n + 1) if n == 8 else (0,)):
+                value = _reduction_max_flow(n, *_mds_pattern(d, gamma))[0]
+                assert mds_systems_hold(d, gamma) == (value == d.total), (d.values, gamma)
+    # mm feasibility against saturation at sum(d) - 2 nu, on the graphic ones
+    for d in all_positive_sequences(8):
+        if not is_graphic(d):
+            continue
+        for nu in range(5):
+            value = _reduction_max_flow(8, *_mm_pattern(d, nu))[0]
+            assert mm_feasible(d, nu) == (value == d.total - 2 * nu), (d.values, nu)
+
+
+def test_extraction_rejects_a_foreign_assignment():
+    # every mm network of an n has the same node count, and the mm network
+    # at nu and the mds network at gamma = n share it; the source
+    # capacities tell them apart
+    d = DS((3, 3, 2, 2, 1, 1))
+    assert mm_value(d) == 3
+    for extract, k, net in ((extract_bipartite_mm, 3, build_mm_flow(d, 2)),
+                            (extract_bipartite_mm, 3, build_mds_flow(d, 6)),
+                            (extract_bipartite_mds, 6, build_mm_flow(d, 3))):
+        with pytest.raises(ContractError):
+            extract(d, k, max_flow(net))
+
+
+def test_mm_extraction_at_nu_zero_accepts_the_full_prefix_mds_network():
+    # at nu = 0 the mm pattern is the mds pattern at gamma = n
+    d = DS((3, 3, 2, 2, 1, 1))
+    prefix, caps, partner = _mm_pattern(d, 0)
+    assert (prefix, tuple(caps), partner) == _mds_pattern(d, d.n)
+    bip = extract_bipartite_mm(d, 0, max_flow(build_mds_flow(d, d.n)))
+    assert bip == extract_bipartite_mm(d, 0, max_flow(build_mm_flow(d, 0)))
 
 
 @given(degree_sequences())
