@@ -38,8 +38,11 @@ class DegreeSequence:
     zero_count: int = 0
 
     # ``values`` as a read-only int64 array when the sequence was built from
-    # one (see ``_from_array``); not a field, so equality ignores it.
+    # one (see ``_from_array``), and the graphicality verdict once computed
+    # (see ``_graphic_array``).  Not fields, so equality and hashing ignore
+    # them; the sequence is frozen, so neither can go stale.
     _array = None
+    _graphic = None
 
     def __post_init__(self):
         for i, v in enumerate(self.values):
@@ -115,6 +118,38 @@ class DegreeSequence:
         return len(self.values)
 
 
+# Bytes of "plain" degree text: ASCII digits, ASCII whitespace and commas.
+_PLAIN_BYTES = b"0123456789 \t\n\r\x0b\x0c,"
+# A plain parse is kept only below this: numpy saturates a digit run past
+# int64 at 2**63 - 1, so a larger value cannot be told from a saturated one.
+_PLAIN_MAX = 10**18
+
+
+def _parse_plain(text: str) -> Optional[np.ndarray]:
+    """The degrees of a plain ``text`` as one int64 array, or None.
+
+    Plain text holds only the bytes of ``_PLAIN_BYTES`` and at least one
+    digit; each digit run is then one token, read by one C-level
+    ``np.fromstring`` call.  The array is kept only if it has one entry per
+    digit run and every entry is below ``_PLAIN_MAX``: otherwise numpy
+    stopped early or saturated, and None sends the text to the general path.
+    """
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    if raw.translate(None, _PLAIN_BYTES):
+        return None
+    digit = np.frombuffer(raw, np.uint8) >= 48   # the separators all lie below "0"
+    # a run starts at a leading digit or at a digit after a separator
+    runs = int(digit[:1].sum()) + int(np.count_nonzero(digit[1:] > digit[:-1]))
+    if runs == 0:
+        return None
+    arr = np.fromstring(raw.replace(b",", b" "), dtype=np.int64, sep=" ")
+    if arr.size != runs or arr.max() >= _PLAIN_MAX:
+        return None
+    return arr
+
+
 def parse_sequence(text: str) -> DegreeSequence:
     """Parse whitespace- or comma-separated degrees into a DegreeSequence.
 
@@ -122,21 +157,20 @@ def parse_sequence(text: str) -> DegreeSequence:
     zeros stripped (and counted).  Raises ParseError for non-integer tokens
     and DomainError for negative entries or empty input.
 
-    Fast path: one split and one ``np.array`` call, which reads each token
-    as ``int()`` does (signs, leading zeros, underscores, any Unicode
-    decimal digits).  If numpy rejects a token -- not an integer, or outside
-    int64 -- the tokens go through ``int()`` one by one instead: that raises
-    the ParseError naming the first bad token, or keeps a degree too big for
-    int64 as a Python int (at least n, so ``is_graphic`` rejects it before
-    any fixed-width conversion).  A negative entry goes through
-    ``from_degrees``, which names the first one.
+    Plain text -- ASCII digits separated by ASCII whitespace and commas,
+    every degree below 10**18 -- is read by one numpy call (``_parse_plain``)
+    and keeps its int64 array.  Any other text is split and each token read
+    by ``int()`` (signs, leading zeros, underscores, any Unicode decimal
+    digits): that raises the ParseError naming the first bad token, or keeps
+    a degree too big for int64 as a Python int (at least n, so
+    ``is_graphic`` rejects it before any fixed-width conversion).  A
+    negative entry goes through ``from_degrees``, which names the first one.
     """
-    tokens = text.replace(",", " ").split()
-    if not tokens:
-        raise DomainError("empty degree sequence input")
-    try:
-        arr = np.array(tokens, dtype=np.int64)
-    except (ValueError, OverflowError):
+    arr = _parse_plain(text)
+    if arr is None:
+        tokens = text.replace(",", " ").split()
+        if not tokens:
+            raise DomainError("empty degree sequence input")
         degrees = []
         for tok in tokens:
             try:
@@ -144,9 +178,6 @@ def parse_sequence(text: str) -> DegreeSequence:
             except ValueError:
                 raise ParseError(f"token {tok!r} is not an integer") from None
         return DegreeSequence.from_degrees(degrees)
-    del tokens
-    if arr.min() < 0:
-        return DegreeSequence.from_degrees(arr.tolist())
     positive = np.sort(arr[arr > 0])[::-1]
     return DegreeSequence._from_array(positive, arr.size - positive.size)
 
@@ -197,13 +228,18 @@ def _values_array(d: DegreeSequence) -> np.ndarray:
 
 
 def _graphic_array(d: DegreeSequence) -> Optional[np.ndarray]:
-    """``d.values`` as an int64 array if ``d`` is graphic, else None."""
-    if _degree_reaches_n(d):
-        return None
-    arr = _values_array(d)
-    if int(arr.sum()) % 2 != 0 or not _eg_inequalities_hold(arr):
-        return None
-    return arr
+    """``d.values`` as an int64 array if ``d`` is graphic, else None.
+
+    The verdict is computed once per sequence and kept on it as ``_graphic``;
+    two threads computing it at once store the same bool.
+    """
+    graphic = d._graphic
+    if graphic is None:
+        arr = None if _degree_reaches_n(d) else _values_array(d)
+        graphic = arr is not None and int(arr.sum()) % 2 == 0 and _eg_inequalities_hold(arr)
+        object.__setattr__(d, "_graphic", graphic)
+        return arr if graphic else None
+    return _values_array(d) if graphic else None
 
 
 def _not_graphic(d: DegreeSequence) -> NotGraphicError:

@@ -17,6 +17,9 @@ def pytest_addoption(parser):
     parser.addoption("--scale", action="store_true",
                      help="also run the opt-in dense n = 2000 and sparse n = 10^4, 10^5 "
                           "realize tests (tests/test_scale.py)")
+    parser.addoption("--exhaustive", action="store_true",
+                     help="also run the opt-in oracle check of every graphic n = 8 "
+                          "sequence (tests/test_exhaustive.py)")
 
 
 def all_positive_sequences(n: int):

@@ -10,7 +10,7 @@ from optreal import (ContractError, DegreeSequence, DomainError, DominatingSet,
                      realize_mds, round_bipartite_mds, verify_dominating)
 from optreal.bipartite import BipartiteRealization
 
-from conftest import graphic_sequences_upto, random_graphic_sequence
+from conftest import all_positive_sequences, graphic_sequences_upto, random_graphic_sequence
 
 DS = DegreeSequence
 
@@ -122,8 +122,33 @@ def test_build_flow_arc_count_closed_form():
 
 
 def test_build_flow_gamma_range():
-    with pytest.raises(DomainError):
-        build_mds_flow(DS((2, 2, 2)), 0)
+    # the same range [0, n] as mds_feasible and extract_bipartite_mds
+    d = DS((2, 2, 2))
+    for gamma in (-1, 4):
+        with pytest.raises(DomainError):
+            build_mds_flow(d, gamma)
+    # with no prefix, no vertex can spend a unit on it
+    for d in (d, DS((1, 1)), DS((3, 3, 3, 3))):
+        assert not saturates(d, 0)
+    assert saturates(DS(()), 0)
+
+
+def test_gamma_zero_network_matches_the_systems_exhaustive():
+    # every sequence with n <= 7 and degrees in [1, max(n - 1, 1)], and the
+    # empty one: the gamma = 0 network saturates, and extraction accepts its
+    # flow, exactly when the constraint systems hold at gamma = 0
+    seqs = [DS(())] + [d for n in range(1, 8) for d in all_positive_sequences(n)]
+    assert len(seqs) == 1080
+    for d in seqs:
+        holds = mds_systems_hold(d, 0)
+        assignment = max_flow(build_mds_flow(d, 0))
+        assert (assignment.value == d.total) == holds, d
+        try:
+            extract_bipartite_mds(d, 0, assignment)
+            accepted = True
+        except InfeasibleError:
+            accepted = False
+        assert accepted == holds, d
 
 
 def test_build_flow_capacity_beyond_int64():

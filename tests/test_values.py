@@ -3,12 +3,15 @@
 ``mds_value`` gallops up from the counting bound and ``mm_value`` down from
 n // 2; the references below are the plain binary searches over the public
 feasibility predicates (the matching one with the re-sorting reduction
-probe).  ``parse_sequence`` converts all tokens with one numpy call; the
-reference is the per-token ``int()`` path.
+probe).  ``parse_sequence`` reads plain text -- ASCII digits, ASCII
+whitespace and commas -- with one numpy call and any other text token by
+token; the reference reads every text with the per-token ``int()`` path.
 """
 
 import random
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 
 from optreal import (DegreeSequence, DomainError, NotGraphicError, OptrealError,
                      ParseError, is_graphic, mds_feasible, mds_value, mm_value,
-                     parse_sequence)
+                     parse_sequence, realize_mds, realize_mm)
 from optreal import dominating, matching, sequences
 from optreal.sequences import _eg_inequalities_hold
 
@@ -144,10 +147,13 @@ _TOKENS = st.one_of(
     st.integers(0, 60).map(str),
     st.sampled_from(["+5", "05", "1_000", "１２", "٣", "١٠", "0", "-3", "-0",
                      "1.0", "0x10", "x", "9223372036854775807",
-                     "9223372036854775808", "-9223372036854775809"]))
-# ASCII whitespace, the comma, a no-break space, an em space, and a file
-# separator: all of them separate tokens
-_SEPARATORS = st.text(alphabet=" \t\n\r\x0b\x0c,\u00a0\u2003\x1c", min_size=1, max_size=3)
+                     "9223372036854775808", "-9223372036854775809",
+                     "999999999999999999", "1000000000000000000", "0" * 24 + "7",
+                     "00"]))
+# ASCII whitespace, the comma, a no-break space, an em space, and the file,
+# group and unit separators: all of them separate tokens
+_SEPARATORS = st.text(alphabet=" \t\n\r\x0b\x0c,\u00a0\u2003\x1c\x1d\x1f",
+                      min_size=1, max_size=3)
 
 
 @st.composite
@@ -170,8 +176,25 @@ def degree_texts(draw):
 @example("9223372036854775808 1")
 @example("-9223372036854775809 1")
 @example("\t３ ٣,1_000 +2 05 0 0\n")
+@example("   ")                          # numpy reads whitespace alone as [0]
+@example("0")
+@example("5 ,")
+@example(", 5")
+@example("5,,6")
+@example("1\x1c2")                       # a separator to str.split, not to numpy
+@example("3\r\n2\r\n")
+@example("9223372036854775807 1")        # numpy saturates past int64 to this
 def test_parse_matches_per_token_path(text):
     assert parse_outcome(parse_sequence, text) == parse_outcome(per_token_parse, text)
+
+
+def test_parse_falls_back_when_numpy_reads_short(monkeypatch):
+    # a plain text's array must hold one entry per digit run; a numpy that
+    # stopped early sends the text to the per-token path
+    fromstring = np.fromstring
+    monkeypatch.setattr(np, "fromstring", lambda *args, **kw: fromstring(*args, **kw)[:-1])
+    d = parse_sequence("3 2,2 1")
+    assert d == DS((3, 2, 2, 1)) and d._array is None
 
 
 def test_parsed_sequence_keeps_a_read_only_array():
@@ -189,3 +212,62 @@ def test_parsed_sequence_keeps_a_read_only_array():
     assert twin == d and hash(twin) == hash(d) and twin._array is None
     assert sequences._graphic_array(twin).tolist() == arr.tolist()
     assert (mds_value(d), mm_value(d)) == (mds_value(twin), mm_value(twin))
+
+
+def test_graphicality_is_decided_once_per_sequence(monkeypatch):
+    calls = []
+    inequalities_hold = sequences._eg_inequalities_hold
+    monkeypatch.setattr(sequences, "_eg_inequalities_hold",
+                        lambda arr: calls.append(arr.size) or inequalities_hold(arr))
+    calls_per_value = (is_graphic, mds_value, mm_value, realize_mds, realize_mm)
+    # a parsed sequence (with its array) and one built from a tuple
+    for d in (parse_sequence("3 3 3 1 1 1 0"), DS((3, 3, 3, 1, 1, 1), 1)):
+        hashed = hash(d)
+        calls.clear()
+        results = [f(d) for f in calls_per_value]
+        assert calls == [6]
+        twin = DS(d.values, d.zero_count)
+        assert d._graphic is True and twin._graphic is None
+        assert results[:3] == [f(twin) for f in calls_per_value[:3]]
+        assert twin._graphic is True
+        assert twin == d and hash(d) == hash(twin) == hashed
+    # even sum, largest degree below n, and still not graphic: the verdict
+    # reaches the inequalities once, and every value call raises
+    d = parse_sequence("4 3 1 1 1")
+    calls.clear()
+    assert not is_graphic(d)
+    for f in calls_per_value[1:]:
+        with pytest.raises(NotGraphicError):
+            f(d)
+    assert calls == [5] and d._graphic is False
+    assert DS(d.values) == d and hash(DS(d.values)) == hash(d)
+
+
+def test_concurrent_calls_share_one_verdict():
+    # threads race to store the verdict of the same sequences; a race may
+    # compute it twice, but every call sees the one right answer
+    texts = ["3 3 3 1 1 1 0", "4 3 1 1 1", "2 2 2 2", "5 1 1 1 1 1"]
+    expected = [(is_graphic(parse_sequence(t)),
+                 outcome(mds_value, parse_sequence(t)),
+                 outcome(mm_value, parse_sequence(t))) for t in texts]
+    shared = [[parse_sequence(t) for t in texts] for _ in range(200)]
+    results = []
+
+    def work():
+        got = [(is_graphic(d), outcome(mds_value, d), outcome(mm_value, d))
+               for row in shared for d in row]
+        results.append(got)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected * len(shared)] * len(threads)
+    assert all(d._graphic is e[0] for row in shared for d, e in zip(row, expected))
