@@ -10,8 +10,11 @@ neighbours of each V-side vertex, so it takes O(n + sum(d)) space.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Literal
+
+import numpy as np
 
 from .errors import ContractError, InfeasibleError, InternalError
 from .flow import _reduction_max_flow
@@ -102,15 +105,74 @@ class BipartiteRealization:
                     raise ContractError(f"inverted matching entry ({i}, {j}) missing")
 
 
+def _invalid(reason: str) -> InternalError:
+    """The error for a realization read off a saturating flow that breaks
+    one of ``validate()``'s rules, given in its wording.  The flow was not
+    the one the reduction guarantees, so this is a bug."""
+    return InternalError(f"saturating flow produced an invalid realization: {reason}")
+
+
 def _validated(bip: BipartiteRealization) -> BipartiteRealization:
-    """``bip`` once ``validate()`` accepts it.  It was read off a saturating
-    flow, so a realization that fails means the flow was not the one the
-    reduction guarantees, which is a bug: it raises InternalError."""
+    """``bip`` once ``validate()`` accepts it; otherwise InternalError (see
+    ``_invalid``)."""
     try:
         bip.validate()
     except ContractError as exc:
-        raise InternalError(f"saturating flow produced an invalid realization: {exc}") from exc
+        raise _invalid(str(exc)) from exc
     return bip
+
+
+def _checked_incidence(n: int, prefix: int, mode: Literal["mds", "mm"],
+                       degrees: tuple[int, ...], incidence):
+    """Yield each (row set, column set) pair of ``incidence``, vertex
+    i = 1..n in turn, once row i passes ``validate()``'s row rules, then
+    check its column rules after the last row.
+
+    The rules are checked on the sets, in O(n) Python steps plus C-level
+    set and numpy work, before anyone changes the row set: row i has d_i
+    entries and no diagonal one; in mds mode each nonprefix row meets the
+    prefix and the prefix rows together cover every nonprefix column; in mm
+    mode row i <= prefix holds its partner prefix - i + 1.  Every entry
+    goes into one int64 array, whose range check and ``bincount`` give the
+    column sums.  A broken rule raises ``_invalid`` with validate()'s words.
+    """
+    mds = mode == "mds"
+    prefix_set = set(range(1, prefix + 1)) if mds else None
+    entries = array("q")
+    prefix_entries = 0   # the prefix rows' entries open ``entries``
+    for i, (out_i, in_i) in enumerate(incidence, 1):
+        try:
+            entries.extend(out_i)
+        except (TypeError, OverflowError):
+            raise _invalid(f"row {i} is not a strictly increasing list of columns in 1..{n}") from None
+        if i in out_i:
+            raise _invalid(f"diagonal entry ({i}, {i}) is set")
+        if len(out_i) != degrees[i - 1]:
+            raise _invalid(f"row {i} sums to {len(out_i)}, expected {degrees[i - 1]}")
+        if i <= prefix:
+            prefix_entries = len(entries)
+            if not mds and prefix - i + 1 not in out_i:
+                raise _invalid(f"inverted matching entry ({i}, {prefix - i + 1}) missing")
+        elif mds and out_i.isdisjoint(prefix_set):
+            raise _invalid(f"row {i} has no neighbor in the dominating prefix")
+        yield out_i, in_i
+    cols = np.frombuffer(entries, dtype=np.int64)
+    outside = np.flatnonzero((cols < 1) | (cols > n))
+    if outside.size:
+        # every row before it held d_i entries
+        row = int(np.searchsorted(np.cumsum(degrees), outside[0], side="right")) + 1
+        raise _invalid(f"row {row} is not a strictly increasing list of columns in 1..{n}")
+    sums = np.bincount(cols, minlength=n + 1)[1:]
+    wrong = np.flatnonzero(sums != np.array(degrees, dtype=np.int64))
+    if wrong.size:
+        j = int(wrong[0]) + 1
+        raise _invalid(f"column {j} sums to {sums[j - 1]}, expected {degrees[j - 1]}")
+    if mds:
+        reached = np.bincount(cols[:prefix_entries], minlength=n + 1)[prefix + 1:]
+        unreached = np.flatnonzero(reached == 0)
+        if unreached.size:
+            raise _invalid(f"column {prefix + 1 + int(unreached[0])} has no neighbor "
+                           "in the dominating prefix")
 
 
 def _from_assignment(n: int, prefix: int, mode: Literal["mds", "mm"],
@@ -162,19 +224,18 @@ def _from_reduction_flow(n: int, prefix: int, mode: Literal["mds", "mm"],
 
     Row i's ones are its x_i -> y_j and x'_i -> y'_j units plus
     ``partner[i]``, a pair the network omits, and column i's are the same
-    pairs transposed.  Vertex i's weights are folded straight from its row
-    and column sets (see ``HalfWeights.fold``), and each solver set is
+    pairs transposed.  Vertex i's row and column sets are checked against
+    ``validate()``'s rules (see ``_checked_incidence``) and then folded
+    straight into its weights (see ``HalfWeights.fold``); each solver set is
     released as it is merged or folded, so memory stays at the flow's own
-    peak.  The realization, each row as its sorted column list, is
-    validated once (see ``_validated``) and then dropped.  The value search
-    found the network feasible, so a flow short of ``sum(caps)`` is a bug.
+    peak, and no sorted row is built.  The value search found the network
+    feasible, so a flow short of ``sum(caps)`` is a bug.
     """
     value, rows, cols, sup_rows, sup_cols = _reduction_max_flow(n, flow_prefix, caps, partner)
     if value != sum(caps):
         raise InternalError(
             f"{mode} reduction network with prefix {prefix} carries {value} of "
             f"{sum(caps)} units after the value search claimed feasibility")
-    rows[0] = []
 
     def incidence():
         for i in range(1, n + 1):
@@ -184,10 +245,7 @@ def _from_reduction_flow(n: int, prefix: int, mode: Literal["mds", "mm"],
             if partner[i]:
                 out_i.add(partner[i])
                 in_i.add(partner[i])
-            cols[i] = sup_rows[i] = sup_cols[i] = None
-            rows[i] = sorted(out_i)
+            rows[i] = cols[i] = sup_rows[i] = sup_cols[i] = None
             yield out_i, in_i
 
-    hw = HalfWeights.fold(n, degrees, incidence())
-    _validated(BipartiteRealization(n, prefix, mode, degrees, rows))
-    return hw
+    return HalfWeights.fold(n, degrees, _checked_incidence(n, prefix, mode, degrees, incidence()))

@@ -10,6 +10,8 @@ folding to an integral graph while protecting the domination structure.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .bipartite import (BipartiteRealization, _from_assignment,
@@ -295,19 +297,23 @@ def realize_mds(d: DegreeSequence, checked: bool = False) -> Realization:
         return graph
     certificate = DominatingSet(tuple(range(1, gamma + 1))
                                 + tuple(range(n + 1, n + zeros + 1)))
-    return Realization(n + zeros, graph.edges, certificate)
+    return Realization._from_pairs(n + zeros, graph.edges, certificate)
 
 
 def verify_dominating(g: Realization, vertices) -> bool:
     """True iff every vertex of ``g`` outside ``vertices`` has a neighbor inside."""
     chosen = set(vertices)
     for v in chosen:
+        try:
+            operator.index(v)
+        except TypeError:
+            raise DomainError(f"vertex {v!r} is not an integer") from None
         if not (1 <= v <= g.n):
             raise DomainError(f"vertex {v} out of range 1..{g.n}")
-    dominated = set(chosen)
-    for u, v in g.edges:
-        if u in chosen:
-            dominated.add(v)
-        if v in chosen:
-            dominated.add(u)
-    return len(dominated) == g.n
+    inside = np.zeros(g.n + 1, dtype=bool)
+    inside[list(chosen)] = True
+    u, v = g._array[:, 0], g._array[:, 1]
+    dominated = inside.copy()
+    dominated[v[inside[u]]] = True
+    dominated[u[inside[v]]] = True
+    return bool(dominated[1:].all())

@@ -183,7 +183,7 @@ def realize_mm(d: DegreeSequence, checked: bool = False) -> Realization:
     graph = _round_mm(hw, 2 * nu, checked)
     if d.zero_count == 0:
         return graph
-    return Realization(d.total_vertices, graph.edges, graph.certificate)
+    return Realization._from_pairs(d.total_vertices, graph.edges, graph.certificate)
 
 
 def flip(g: Realization, x: int, u: int, y: int, v: int) -> Realization:

@@ -276,7 +276,7 @@ def round_half_weights(hw: HalfWeights, protected: set[tuple[int, int]],
     for i in range(1, hw.n + 1):
         if hw.half_adj[i]:
             raise InternalError(f"half-weight edges remain at vertex {i}")
-    graph = Realization(hw.n, frozenset(hw.take_integral_edges()), certificate)
+    graph = Realization._from_pairs(hw.n, hw.take_integral_edges(), certificate)
     if graph.degrees() != hw.degrees:
         raise InternalError("rounded graph does not carry the input degrees")
     return graph

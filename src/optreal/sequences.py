@@ -8,8 +8,10 @@ about isolated vertices can add them back.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from itertools import chain, islice
+from typing import Collection, Iterable, Iterator, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -161,10 +163,11 @@ def parse_sequence(text: str) -> DegreeSequence:
     every degree below 10**18 -- is read by one numpy call (``_parse_plain``)
     and keeps its int64 array.  Any other text is split and each token read
     by ``int()`` (signs, leading zeros, underscores, any Unicode decimal
-    digits): that raises the ParseError naming the first bad token, or keeps
-    a degree too big for int64 as a Python int (at least n, so
-    ``is_graphic`` rejects it before any fixed-width conversion).  A
-    negative entry goes through ``from_degrees``, which names the first one.
+    digits): that raises the ParseError naming the first bad token.  The
+    tokens' ints then become one int64 array as well, unless one is negative
+    or too big for int64: those go through ``from_degrees``, which names the
+    first negative entry, or keeps a too-big degree as a Python int (at
+    least n, so ``is_graphic`` rejects it before any fixed-width conversion).
     """
     arr = _parse_plain(text)
     if arr is None:
@@ -177,7 +180,12 @@ def parse_sequence(text: str) -> DegreeSequence:
                 degrees.append(int(tok))
             except ValueError:
                 raise ParseError(f"token {tok!r} is not an integer") from None
-        return DegreeSequence.from_degrees(degrees)
+        try:
+            arr = np.array(degrees, dtype=np.int64)
+        except OverflowError:
+            arr = None
+        if arr is None or arr.min() < 0:
+            return DegreeSequence.from_degrees(degrees)
     positive = np.sort(arr[arr > 0])[::-1]
     return DegreeSequence._from_array(positive, arr.size - positive.size)
 
@@ -317,10 +325,47 @@ class Realization:
     edges: frozenset[tuple[int, int]]
     certificate: Optional[Certificate] = None
 
+    # ``edges`` as a read-only (m, 2) int64 array, one row per edge, built
+    # and checked once at construction; the degrees and the verifiers read
+    # it.  Not a field, so equality and hashing ignore it.
+    _array = None
+
     def __post_init__(self):
-        for (u, v) in self.edges:
-            if not (1 <= u < v <= self.n):
-                raise DomainError(f"edge ({u}, {v}) is not a normalized pair within 1..{self.n}")
+        n = self.n
+        try:
+            operator.index(n)
+        except TypeError:
+            raise DomainError(f"vertex count {n!r} is not an integer") from None
+        if not 0 <= n < 2**63:
+            raise DomainError(f"vertex count {n} out of range 0..2**63-1")
+        edges = self.edges
+        flat = None
+        try:
+            # one C-level pass each: every edge a pair, every endpoint an
+            # integer (``operator.index`` refuses 2.5 and "3", which
+            # ``np.fromiter`` alone would truncate or parse) within int64
+            if set(map(len, edges)) <= {2}:
+                flat = np.fromiter(map(operator.index, chain.from_iterable(edges)),
+                                   dtype=np.int64, count=2 * len(edges))
+        except (TypeError, OverflowError):
+            pass
+        if flat is None:
+            _reject_first_bad_edge(n, edges)
+        _set_edge_array(self, flat.reshape(-1, 2), edges)
+
+    @classmethod
+    def _from_pairs(cls, n: int, pairs: Collection[tuple[int, int]],
+                    certificate: Optional[Certificate] = None) -> "Realization":
+        """The graph of ``pairs``, distinct tuples of two ints as the rounding
+        builds them (or another graph's edges), whose array is read straight
+        off them."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "n", n)
+        object.__setattr__(graph, "edges", frozenset(pairs))
+        object.__setattr__(graph, "certificate", certificate)
+        flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
+        _set_edge_array(graph, flat.reshape(-1, 2), pairs)
+        return graph
 
     @staticmethod
     def normalize_edges(edges: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
@@ -338,11 +383,7 @@ class Realization:
 
     def degrees(self) -> tuple[int, ...]:
         """Per-vertex degrees, indexed by vertex (position 0 is vertex 1)."""
-        deg = [0] * (self.n + 1)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return tuple(deg[1:])
+        return tuple(np.bincount(self._array.ravel(), minlength=self.n + 1)[1:].tolist())
 
     def realizes(self, d: DegreeSequence) -> bool:
         """True iff vertex i has degree d_i (stripped zeros appended last)."""
@@ -350,6 +391,33 @@ class Realization:
             return False
         want = tuple(d.values) + (0,) * d.zero_count
         return self.degrees() == want
+
+
+def _set_edge_array(graph: Realization, arr: np.ndarray, edges: Iterable):
+    """Keep ``arr``, the rows of ``edges`` in iteration order, as ``graph``'s
+    edge array once every row (u, v) has 1 <= u < v <= n; otherwise raise
+    the DomainError naming the first edge that has not."""
+    u, v = arr[:, 0], arr[:, 1]
+    bad = np.flatnonzero((u < 1) | (u >= v) | (v > graph.n))
+    if bad.size:
+        _reject_first_bad_edge(graph.n, islice(edges, int(bad[0]), None))
+    arr.flags.writeable = False
+    object.__setattr__(graph, "_array", arr)
+
+
+def _reject_first_bad_edge(n: int, edges):
+    """Raise DomainError for the first of ``edges`` that is not a pair of
+    integers u, v with 1 <= u < v <= n; n < 2**63, so an endpoint beyond
+    int64 is one of them."""
+    for edge in edges:
+        try:
+            u, v = edge
+            operator.index(u), operator.index(v)
+        except (TypeError, ValueError):
+            raise DomainError(f"edge {edge!r} is not a pair of integers") from None
+        if not (1 <= u < v <= n):
+            raise DomainError(f"edge ({u}, {v}) is not a normalized pair within 1..{n}")
+    raise DomainError("edges must be a sized collection of integer pairs")
 
 
 def havel_hakimi_realize(d: DegreeSequence) -> Realization:

@@ -5,7 +5,7 @@ import random
 
 from hypothesis import settings
 
-from optreal import DegreeSequence, is_graphic
+from optreal import BipartiteRealization, DegreeSequence, bipartite, is_graphic
 
 # Property tests run the same examples on every run; another profile can be
 # chosen with pytest's --hypothesis-profile option.
@@ -61,3 +61,26 @@ def random_graphic_sequence(rng: random.Random, n: int, dmax: int | None = None)
         d = DegreeSequence(tuple(vals))
         if is_graphic(d):
             return d
+
+
+def record_checked_realizations(monkeypatch) -> list:
+    """Make realize's check of the flow's sets (``bipartite._checked_incidence``)
+    record, per call, the realization it checks, each row as its sorted
+    column list taken before anyone changes the row set; return the list
+    the realizations go into."""
+    check = bipartite._checked_incidence
+    seen = []
+
+    def recording(n, prefix, mode, degrees, incidence):
+        rows = [[]]
+        seen.append(BipartiteRealization(n, prefix, mode, degrees, rows))
+
+        def recorded():
+            for out_i, in_i in incidence:
+                rows.append(sorted(out_i))
+                yield out_i, in_i
+
+        return check(n, prefix, mode, degrees, recorded())
+
+    monkeypatch.setattr(bipartite, "_checked_incidence", recording)
+    return seen

@@ -5,7 +5,8 @@ the sorted rows alone.
 row and column sets (``bipartite._from_reduction_flow``), while
 ``round_bipartite_*`` folds them from ``BipartiteRealization.rows`` by
 transposing (``HalfWeights.from_rows``).  Both must give the same ``full``
-and ``half_adj`` set at every vertex.
+and ``half_adj`` set at every vertex, and the solver's rows must pass
+``validate()`` as well as realize's own check of the sets.
 """
 
 import hashlib
@@ -16,19 +17,16 @@ from pathlib import Path
 import pytest
 
 from optreal import DegreeSequence, mds_value, mm_value, realize_mds, realize_mm
-from optreal import bipartite
 from optreal.bipartite import _from_reduction_flow
 from optreal.dominating import _mds_pattern
 from optreal.matching import _mm_pattern
 from optreal.rounding import HalfWeights
 
-from conftest import graphic_sequences_upto
+from conftest import graphic_sequences_upto, record_checked_realizations
 
 # realize_*(d, checked=True) on every graphic sequence with n <= 7, both
 # objectives, recorded before the fold read the solver's sets.
 CHECKED_DIGEST = "ce8c8befe6cdb4b37c8ce59ae299cf8cf4ed79bbda258dcb8e6a7acc9fda7963"
-
-VALIDATED = bipartite._validated
 
 
 def _load_workloads():
@@ -44,10 +42,9 @@ def _load_workloads():
 
 def both_folds(monkeypatch, d: DegreeSequence, mds: bool):
     """The weights ``realize_*`` folds from the solver's sets, and the
-    weights folded from the rows of the realization it validated."""
-    validated = []
-    monkeypatch.setattr(bipartite, "_validated",
-                        lambda bip: validated.append(bip) or VALIDATED(bip))
+    weights folded from the rows of the realization it checked, which
+    ``validate()`` accepts too."""
+    checked = record_checked_realizations(monkeypatch)
     n = d.n
     if mds:
         gamma = mds_value(d)
@@ -55,7 +52,8 @@ def both_folds(monkeypatch, d: DegreeSequence, mds: bool):
     else:
         nu = mm_value(d)
         hw = _from_reduction_flow(n, 2 * nu, "mm", d.values, *_mm_pattern(d, nu))
-    (bip,) = validated
+    (bip,) = checked
+    bip.validate()
     return hw, HalfWeights.from_rows(bip.n, bip.degrees, bip.rows)
 
 

@@ -26,7 +26,8 @@ from optreal.dominating import _mds_pattern
 from optreal.flow import _build_reduction_network, _reduction_max_flow
 from optreal.matching import _mm_pattern
 
-from conftest import all_positive_sequences, random_graphic_sequence
+from conftest import (all_positive_sequences, random_graphic_sequence,
+                      record_checked_realizations)
 
 DS = DegreeSequence
 
@@ -253,14 +254,18 @@ def test_realize_equals_explicit_route(d):
 
 
 def test_realize_validates_each_bipartite_realization_once(monkeypatch):
+    # realize checks the flow's sets once per call and never builds the
+    # sorted rows that validate() reads
     calls = []
     validate = BipartiteRealization.validate
     monkeypatch.setattr(BipartiteRealization, "validate",
-                        lambda bip: calls.append(bip.mode) or validate(bip))
+                        lambda bip: calls.append("validate") or validate(bip))
+    checked = record_checked_realizations(monkeypatch)
     d = DS((3, 3, 3, 1, 1, 1))
     realize_mds(d)
     realize_mm(d)
-    assert calls == ["mds", "mm"]
+    assert calls == [] and [bip.mode for bip in checked] == ["mds", "mm"]
+    assert all(len(bip.rows) == d.n + 1 for bip in checked)
 
 
 def test_realize_gates_graphicality_once(monkeypatch):

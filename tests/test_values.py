@@ -193,8 +193,20 @@ def test_parse_falls_back_when_numpy_reads_short(monkeypatch):
     # stopped early sends the text to the per-token path
     fromstring = np.fromstring
     monkeypatch.setattr(np, "fromstring", lambda *args, **kw: fromstring(*args, **kw)[:-1])
+    assert sequences._parse_plain("3 2,2 1") is None
     d = parse_sequence("3 2,2 1")
-    assert d == DS((3, 2, 2, 1)) and d._array is None
+    assert d == DS((3, 2, 2, 1)) and d._array.tolist() == [3, 2, 2, 1]
+
+
+def test_signed_text_keeps_an_array():
+    # the per-token path converts its ints once too, unless one is negative
+    # or beyond int64
+    d = parse_sequence("+3 0 ３ 2, 02 1 +1")
+    assert d == DS((3, 3, 2, 2, 1, 1), 1)
+    assert d._array.tolist() == [3, 3, 2, 2, 1, 1] and not d._array.flags.writeable
+    assert parse_sequence("+3 9223372036854775808")._array is None
+    with pytest.raises(DomainError, match="-1"):
+        parse_sequence("+3 -1")
 
 
 def test_parsed_sequence_keeps_a_read_only_array():
