@@ -17,12 +17,13 @@ for standard input.  Outputs are deterministic for fixed inputs, except the
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import time
 
 from .dominating import mds_value, realize_mds, verify_dominating
-from .errors import DomainError, OptrealError
+from .errors import DomainError, OptrealError, ParseError
 from .matching import mm_value, realize_mm, verify_matching
 from .oracle import DEFAULT_LIMIT, MAX_LIMIT, oracle_mds, oracle_mm
 from .sequences import (DegreeSequence, Realization, is_graphic,
@@ -31,37 +32,41 @@ from .sequences import (DegreeSequence, Realization, is_graphic,
 __all__ = ["main"]
 
 
+def _read_text(fh, name: str) -> str:
+    """All of ``fh`` (a text stream's byte buffer, if it has one) as UTF-8
+    text; ParseError names ``name`` and the offset of a byte that is not."""
+    raw = getattr(fh, "buffer", fh).read()
+    try:
+        return raw if isinstance(raw, str) else raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{name}: byte {exc.start} ({raw[exc.start]:#04x}) is not valid UTF-8") from None
+
+
 def _load_sequence(source: str) -> DegreeSequence:
     if source == "-":
-        text = sys.stdin.read()
+        source = _read_text(sys.stdin, "standard input")
     elif source.startswith("@"):
-        with open(source[1:], "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source
-    return parse_sequence(text)
-
-
-def _full_degrees(d: DegreeSequence) -> list[int]:
-    return list(d.values) + [0] * d.zero_count
+        with open(source[1:], "rb") as fh:
+            source = _read_text(fh, source[1:])
+    return parse_sequence(source)
 
 
 def _report(d: DegreeSequence, objective: str, graph: Realization, label: str,
             members: list, started: float) -> dict:
     return {
         "n": d.total_vertices,
-        "degrees": _full_degrees(d),
+        "degrees": list(d.values) + [0] * d.zero_count,
         "graphic": True,  # realize raised NotGraphicError otherwise
         "objective": objective,
         "value": len(members),
-        "edges": [[u, v] for u, v in sorted(graph.edges)],
+        "edges": graph._sorted_array().tolist(),
         "certificate": {"type": label, "members": members},
         "timing_ms": round((time.perf_counter() - started) * 1000.0, 3),
     }
 
 
 def _print_edges(graph: Realization, out):
-    for u, v in sorted(graph.edges):
+    for u, v in graph._sorted_array().tolist():
         print(f"{u} {v}", file=out)
 
 
@@ -105,8 +110,8 @@ def _cmd_realize(args, out, objective: str) -> int:
 
 def _parse_edge_file(path: str, n: int) -> list[tuple[int, int]]:
     edges = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(io.StringIO(_read_text(fh, path), newline=None), start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

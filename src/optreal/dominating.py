@@ -10,8 +10,6 @@ folding to an integral graph while protecting the domination structure.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 from .bipartite import (BipartiteRealization, _from_assignment,
@@ -21,7 +19,8 @@ from .flow import FlowAssignment, FlowNetwork, _build_reduction_network
 from .rounding import HalfWeights, round_half_weights
 from .sequences import (DegreeSequence, DominatingSet, Realization,
                         _degree_reaches_n, _eg_inequalities_hold,
-                        _first_holding, _require_graphic, _values_array)
+                        _first_holding, _integer, _require_graphic,
+                        _values_array)
 
 __all__ = [
     "build_mds_flow",
@@ -83,9 +82,11 @@ def _systems_hold(values: np.ndarray, gamma: int) -> bool:
     return bool(np.all(lhs3 <= rhs3))
 
 
-def _check_gamma(d: DegreeSequence, gamma: int):
+def _check_gamma(d: DegreeSequence, gamma: int) -> int:
+    gamma = _integer(gamma, "gamma")
     if not (0 <= gamma <= d.n):
         raise DomainError(f"gamma={gamma} out of range [0, {d.n}]")
+    return gamma
 
 
 def mds_systems_hold(d: DegreeSequence, gamma: int) -> bool:
@@ -95,7 +96,7 @@ def mds_systems_hold(d: DegreeSequence, gamma: int) -> bool:
     (d, gamma) saturates, i.e. a prefix-dominated bipartite realization of
     the doubled sequence exists -- regardless of whether d itself is graphic.
     """
-    _check_gamma(d, gamma)
+    gamma = _check_gamma(d, gamma)
     if _degree_reaches_n(d):
         return False
     values = _values_array(d)
@@ -155,14 +156,14 @@ def build_mds_flow(d: DegreeSequence, gamma: int) -> FlowNetwork:
     on a prefix partner; see ``flow._build_reduction_network`` for the node
     layout.
     """
-    _check_gamma(d, gamma)
+    gamma = _check_gamma(d, gamma)
     return _build_reduction_network(d.n, *_mds_pattern(d, gamma))
 
 
 def extract_bipartite_mds(d: DegreeSequence, gamma: int,
                           assignment: FlowAssignment) -> BipartiteRealization:
     """Read a prefix-dominated bipartite realization off a saturating flow."""
-    _check_gamma(d, gamma)
+    gamma = _check_gamma(d, gamma)
     return _from_assignment(d.n, gamma, "mds", d.values, *_mds_pattern(d, gamma), assignment)
 
 
@@ -297,17 +298,13 @@ def realize_mds(d: DegreeSequence, checked: bool = False) -> Realization:
         return graph
     certificate = DominatingSet(tuple(range(1, gamma + 1))
                                 + tuple(range(n + 1, n + zeros + 1)))
-    return Realization._from_pairs(n + zeros, graph.edges, certificate)
+    return Realization._from_array(n + zeros, graph._array, certificate)
 
 
 def verify_dominating(g: Realization, vertices) -> bool:
     """True iff every vertex of ``g`` outside ``vertices`` has a neighbor inside."""
-    chosen = set(vertices)
+    chosen = {_integer(v, "vertex") for v in vertices}
     for v in chosen:
-        try:
-            operator.index(v)
-        except TypeError:
-            raise DomainError(f"vertex {v!r} is not an integer") from None
         if not (1 <= v <= g.n):
             raise DomainError(f"vertex {v} out of range 1..{g.n}")
     inside = np.zeros(g.n + 1, dtype=bool)

@@ -20,6 +20,8 @@ test against the saturation of the built network.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .bipartite import (BipartiteRealization, _from_assignment,
@@ -27,9 +29,9 @@ from .bipartite import (BipartiteRealization, _from_assignment,
 from .errors import ContractError, DomainError, FlipError, InternalError
 from .flow import FlowAssignment, FlowNetwork, _build_reduction_network
 from .rounding import HalfWeights, round_half_weights
-from .sequences import (DegreeSequence, Matching, Realization,
-                        _eg_inequalities_hold, _first_holding,
-                        _require_graphic)
+from .sequences import (DegreeSequence, Matching, Realization, _edge_rows,
+                        _eg_inequalities_hold, _first_holding, _integer,
+                        _require_graphic, _vertex_pairs)
 
 __all__ = [
     "build_mm_flow",
@@ -43,9 +45,11 @@ __all__ = [
     "verify_matching",
 ]
 
-def _check_nu(d: DegreeSequence, nu: int):
+def _check_nu(d: DegreeSequence, nu: int) -> int:
+    nu = _integer(nu, "nu")
     if not (0 <= 2 * nu <= d.n):
         raise DomainError(f"nu={nu} out of range [0, {d.n // 2}]")
+    return nu
 
 
 def build_mm_flow(d: DegreeSequence, nu: int) -> FlowNetwork:
@@ -58,7 +62,7 @@ def build_mm_flow(d: DegreeSequence, nu: int) -> FlowNetwork:
     get source/sink capacity d_i - 1; the unit arcs omit the diagonal
     (x_i, y_i) and the matched partners (x_i, y_{2nu-i+1}).
     """
-    _check_nu(d, nu)
+    nu = _check_nu(d, nu)
     return _build_reduction_network(d.n, *_mm_pattern(d, nu))
 
 
@@ -104,7 +108,7 @@ def mm_feasible(d: DegreeSequence, nu: int) -> bool:
     sum(d) - 2*nu, and answered at every size by the O(n log n)
     prefix-reduction graphicality test instead of the flow.
     """
-    _check_nu(d, nu)
+    nu = _check_nu(d, nu)
     return _mm_feasible_reduction(_require_graphic(d), nu)
 
 
@@ -131,7 +135,7 @@ def extract_bipartite_mm(d: DegreeSequence, nu: int,
                          assignment: FlowAssignment) -> BipartiteRealization:
     """Read an inverted-prefix-matched bipartite realization off a
     saturating flow, adding the matching pairs the network omits."""
-    _check_nu(d, nu)
+    nu = _check_nu(d, nu)
     return _from_assignment(d.n, 2 * nu, "mm", d.values, *_mm_pattern(d, nu), assignment)
 
 
@@ -183,50 +187,47 @@ def realize_mm(d: DegreeSequence, checked: bool = False) -> Realization:
     graph = _round_mm(hw, 2 * nu, checked)
     if d.zero_count == 0:
         return graph
-    return Realization._from_pairs(d.total_vertices, graph.edges, graph.certificate)
+    return Realization._from_array(d.total_vertices, graph._array, graph.certificate)
 
 
 def flip(g: Realization, x: int, u: int, y: int, v: int) -> Realization:
     """Swap edges (x,u), (y,v) for (x,y), (u,v), preserving all degrees.
 
     Requires the four vertices distinct, the removed pairs present, and the
-    added pairs absent; violations raise FlipError.  The result carries no
-    certificate (the input's certificate may not survive the rewiring).
+    added pairs absent; violations raise FlipError, and a vertex that is not
+    an integer DomainError.  The result carries no certificate (the input's
+    certificate may not survive the rewiring).  It is a copy of ``g``'s edge
+    array with the two removed rows overwritten by the added pairs.
     """
-    ids = (x, u, y, v)
+    ids = tuple(_integer(w, "vertex") for w in (x, u, y, v))
     if len(set(ids)) != 4:
         raise FlipError(f"vertices {ids} are not pairwise distinct")
     for w in ids:
         if not (1 <= w <= g.n):
             raise FlipError(f"vertex {w} out of range 1..{g.n}")
-    edges = set(g.edges)
+    x, u, y, v = ids
 
     def key(a, b):
         return (a, b) if a < b else (b, a)
 
-    if key(x, u) not in edges or key(y, v) not in edges:
+    removed = _edge_rows(g._array, [key(x, u), key(y, v)])
+    if removed.min() < 0:
         raise FlipError("edges to remove are not both present")
-    if key(x, y) in edges or key(u, v) in edges:
+    if _edge_rows(g._array, [key(x, y), key(u, v)]).max() >= 0:
         raise FlipError("edges to add are not both absent")
-    edges.discard(key(x, u))
-    edges.discard(key(y, v))
-    edges.add(key(x, y))
-    edges.add(key(u, v))
-    return Realization(g.n, frozenset(edges))
+    arr = g._array.copy()
+    arr[removed] = [key(x, y), key(u, v)]
+    return Realization._from_array(g.n, arr)
 
 
 def verify_matching(g: Realization, pairs) -> bool:
-    """True iff ``pairs`` are edges of ``g`` and pairwise vertex-disjoint."""
-    seen: set[int] = set()
-    for a, b in pairs:
-        e = (a, b) if a < b else (b, a)
-        if e not in g.edges:
-            return False
-        if a in seen or b in seen:
-            return False
-        seen.add(a)
-        seen.add(b)
-    return True
+    """True iff ``pairs`` are edges of ``g`` and pairwise vertex-disjoint;
+    a pair that is not two integers raises DomainError."""
+    pairs = _vertex_pairs(pairs)
+    ends = list(chain.from_iterable(pairs))
+    if len(set(ends)) < len(ends) or (ends and not 1 <= min(ends) <= max(ends) <= g.n):
+        return False
+    return bool(np.all(_edge_rows(g._array, pairs) >= 0))
 
 
 def invert_matching(g: Realization, pairs) -> Realization:
@@ -240,12 +241,9 @@ def invert_matching(g: Realization, pairs) -> Realization:
     preserving edge swap; the lowest fixed position strictly increases, so
     at most nu rounds run.  The result certificate is the inverted matching.
     """
+    pairs = _vertex_pairs(pairs)
     matched: dict[int, int] = {}
-    edges = set(g.edges)
     for a, b in pairs:
-        e = (a, b) if a < b else (b, a)
-        if e not in edges:
-            raise ContractError(f"matching pair {e} is not an edge")
         if a in matched or b in matched or a == b:
             raise ContractError(f"pair ({a}, {b}) overlaps another matching pair")
         matched[a] = b
@@ -254,25 +252,26 @@ def invert_matching(g: Realization, pairs) -> Realization:
     nu = two_nu // 2
     if set(matched) != set(range(1, two_nu + 1)):
         raise ContractError(f"matching must cover exactly vertices 1..{two_nu}")
+    missing = np.flatnonzero(_edge_rows(g._array, pairs) < 0)
+    if missing.size:
+        raise ContractError(f"matching pair {pairs[missing[0]]} is not an edge")
     deg = g.degrees()
     for i in range(1, two_nu):
         if deg[i - 1] < deg[i]:
             raise ContractError("degrees on the matched prefix must be non-increasing")
 
     adj = [set() for _ in range(g.n + 1)]
-    for a, b in edges:
+    for a, b in g._array.tolist():
         adj[a].add(b)
         adj[b].add(a)
 
     def do_flip(rm1, rm2, ad1, ad2):
         for a, b in (rm1, rm2):
-            edges.discard((a, b) if a < b else (b, a))
             adj[a].discard(b)
             adj[b].discard(a)
         for a, b in (ad1, ad2):
             if b in adj[a]:
                 raise InternalError(f"swap would duplicate edge ({a}, {b})")
-            edges.add((a, b) if a < b else (b, a))
             adj[a].add(b)
             adj[b].add(a)
 
@@ -309,7 +308,7 @@ def invert_matching(g: Realization, pairs) -> Realization:
         matched[x], matched[y] = y, x
 
     result_pairs = tuple((i, two_nu - i + 1) for i in range(1, nu + 1))
-    out = Realization(g.n, frozenset(edges), Matching(result_pairs))
+    out = Realization._from_sets(g.n, adj, Matching(result_pairs))
     if out.degrees() != deg:
         raise InternalError("degree sequence changed during inversion")
     if not verify_matching(out, result_pairs):

@@ -16,7 +16,8 @@ from itertools import combinations
 from typing import Iterator
 
 from .errors import LimitError
-from .sequences import DegreeSequence, Realization, _require_graphic
+from .sequences import (DegreeSequence, Realization, _integer,
+                        _require_graphic)
 
 __all__ = [
     "DEFAULT_LIMIT",
@@ -33,6 +34,7 @@ MAX_LIMIT = 10
 
 
 def _check_limit(n: int, limit: int):
+    limit = _integer(limit, "limit")
     if limit > MAX_LIMIT:
         raise LimitError(f"enumeration limit {limit} exceeds the maximum {MAX_LIMIT}")
     if n > limit:

@@ -93,19 +93,6 @@ class HalfWeights:
             sets[i].add(j)
             sets[j].add(i)
 
-    def take_integral_edges(self) -> list[tuple[int, int]]:
-        """All pairs (i < j) of weight 1 (two half-units), in no set order,
-        taken out of the table: each vertex's sets are released as soon as
-        its pairs are read, so the edges reuse their memory, and the table
-        holds no weights afterwards."""
-        full, half_adj = self.full, self.half_adj
-        edges: list[tuple[int, int]] = []
-        for i in range(1, self.n + 1):
-            edges += [(i, j) for j in full[i] if j > i]
-            full[i] = half_adj[i] = None
-        self.full = self.half_adj = None
-        return edges
-
     # Checked-mode invariants.  Each reads every stored weight, and the
     # pipelines call them after every modification when checked=True, so
     # they are meant for small instances.
@@ -220,8 +207,8 @@ def round_half_weights(hw: HalfWeights, protected: set[tuple[int, int]],
 
     ``check``, when given, is called after every individual modification.
     A graph whose degrees differ from ``hw.degrees`` raises InternalError.
-    The graph's edges are taken out of ``hw``, which holds no weights
-    afterwards.
+    The graph's edge array is read straight off ``hw``'s full-weight sets,
+    and ``hw`` holds no weights afterwards.
     """
     adj = [set(neigh) for neigh in hw.half_adj]
     for a, s, b in triangles:
@@ -276,7 +263,8 @@ def round_half_weights(hw: HalfWeights, protected: set[tuple[int, int]],
     for i in range(1, hw.n + 1):
         if hw.half_adj[i]:
             raise InternalError(f"half-weight edges remain at vertex {i}")
-    graph = Realization._from_pairs(hw.n, hw.take_integral_edges(), certificate)
+    graph = Realization._from_sets(hw.n, hw.full, certificate)
+    hw.full = hw.half_adj = None
     if graph.degrees() != hw.degrees:
         raise InternalError("rounded graph does not carry the input degrees")
     return graph

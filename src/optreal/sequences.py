@@ -9,7 +9,7 @@ about isolated vertices can add them back.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from itertools import chain, islice
 from typing import Collection, Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -317,28 +317,23 @@ class Matching(NamedTuple):
 Certificate = Union[DominatingSet, Matching]
 
 
-@dataclass(frozen=True)
 class Realization:
-    """A simple graph on vertices ``1..n`` with an optional certificate."""
+    """A simple graph on vertices ``1..n`` with an optional certificate.
 
-    n: int
-    edges: frozenset[tuple[int, int]]
-    certificate: Optional[Certificate] = None
+    Its edges are one read-only (m, 2) int64 array, a row (u, v) with
+    1 <= u < v <= n per edge, which the degrees, the verifiers and the CLI
+    read.  ``edges``, the same edges as a frozenset, is built on first read
+    (racing threads keep equal sets).  Equality and hashing compare n, the
+    edge set and the certificate.
+    """
 
-    # ``edges`` as a read-only (m, 2) int64 array, one row per edge, built
-    # and checked once at construction; the degrees and the verifiers read
-    # it.  Not a field, so equality and hashing ignore it.
-    _array = None
+    __slots__ = ("n", "certificate", "_array", "_edges")
 
-    def __post_init__(self):
-        n = self.n
-        try:
-            operator.index(n)
-        except TypeError:
-            raise DomainError(f"vertex count {n!r} is not an integer") from None
+    def __new__(cls, n: int, edges: Collection[tuple[int, int]],
+                certificate: Optional[Certificate] = None):
+        n = _integer(n, "vertex count")
         if not 0 <= n < 2**63:
             raise DomainError(f"vertex count {n} out of range 0..2**63-1")
-        edges = self.edges
         flat = None
         try:
             # one C-level pass each: every edge a pair, every endpoint an
@@ -351,21 +346,68 @@ class Realization:
             pass
         if flat is None:
             _reject_first_bad_edge(n, edges)
-        _set_edge_array(self, flat.reshape(-1, 2), edges)
+        return cls._from_array(n, flat.reshape(-1, 2), certificate, edges)
 
     @classmethod
-    def _from_pairs(cls, n: int, pairs: Collection[tuple[int, int]],
-                    certificate: Optional[Certificate] = None) -> "Realization":
-        """The graph of ``pairs``, distinct tuples of two ints as the rounding
-        builds them (or another graph's edges), whose array is read straight
-        off them."""
+    def _from_array(cls, n: int, arr: np.ndarray, certificate: Optional[Certificate] = None,
+                    edges=None) -> "Realization":
+        """The graph of the (m, 2) int64 ``arr``, kept read-only once every row
+        has 1 <= u < v <= n.  ``edges``, the same edges in the rows' order,
+        names a bad row when given and is kept if a frozenset."""
+        u, v = arr[:, 0], arr[:, 1]
+        bad = np.flatnonzero((u < 1) | (u >= v) | (v > n))
+        if bad.size:
+            rows = arr.tolist() if edges is None else edges
+            _reject_first_bad_edge(n, islice(rows, int(bad[0]), None))
+        arr.flags.writeable = False
         graph = object.__new__(cls)
-        object.__setattr__(graph, "n", n)
-        object.__setattr__(graph, "edges", frozenset(pairs))
-        object.__setattr__(graph, "certificate", certificate)
-        flat = np.fromiter(chain.from_iterable(pairs), dtype=np.int64, count=2 * len(pairs))
-        _set_edge_array(graph, flat.reshape(-1, 2), pairs)
+        for name, value in (("n", n), ("certificate", certificate), ("_array", arr),
+                            ("_edges", edges if isinstance(edges, frozenset) else None)):
+            object.__setattr__(graph, name, value)
         return graph
+
+    @classmethod
+    def _from_sets(cls, n: int, adj: list[set[int]],
+                   certificate: Optional[Certificate] = None) -> "Realization":
+        """The graph where vertex i in 1..n has the neighbours ``adj[i]``
+        (symmetric, ``adj[0]`` empty): a row (i, j) per j > i in ``adj[i]``."""
+        lengths = np.fromiter(map(len, adj), dtype=np.int64, count=n + 1)
+        cols = np.fromiter(chain.from_iterable(adj), dtype=np.int64, count=int(lengths.sum()))
+        rows = np.repeat(np.arange(n + 1, dtype=np.int64), lengths)
+        upper = cols > rows
+        return cls._from_array(n, np.column_stack((rows[upper], cols[upper])), certificate)
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as (u, v) tuples, u < v; built from the array on first read."""
+        if self._edges is None:
+            object.__setattr__(self, "_edges", frozenset(zip(*self._array.T.tolist())))
+        return self._edges
+
+    def _sorted_array(self) -> np.ndarray:
+        arr = self._array
+        return arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n == other.n and self.certificate == other.certificate
+                and self.edges == other.edges)
+
+    def __hash__(self):
+        return hash((self.n, self.edges, self.certificate))
+
+    def __repr__(self):
+        edges = list(map(tuple, self._sorted_array().tolist()))
+        return f"Realization(n={self.n}, edges={edges}, certificate={self.certificate!r})"
+
+    def __reduce__(self):
+        return type(self)._from_array, (self.n, self._array, self.certificate)
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
     @staticmethod
     def normalize_edges(edges: Iterable[tuple[int, int]]) -> frozenset[tuple[int, int]]:
@@ -393,18 +435,6 @@ class Realization:
         return self.degrees() == want
 
 
-def _set_edge_array(graph: Realization, arr: np.ndarray, edges: Iterable):
-    """Keep ``arr``, the rows of ``edges`` in iteration order, as ``graph``'s
-    edge array once every row (u, v) has 1 <= u < v <= n; otherwise raise
-    the DomainError naming the first edge that has not."""
-    u, v = arr[:, 0], arr[:, 1]
-    bad = np.flatnonzero((u < 1) | (u >= v) | (v > graph.n))
-    if bad.size:
-        _reject_first_bad_edge(graph.n, islice(edges, int(bad[0]), None))
-    arr.flags.writeable = False
-    object.__setattr__(graph, "_array", arr)
-
-
 def _reject_first_bad_edge(n: int, edges):
     """Raise DomainError for the first of ``edges`` that is not a pair of
     integers u, v with 1 <= u < v <= n; n < 2**63, so an endpoint beyond
@@ -418,6 +448,46 @@ def _reject_first_bad_edge(n: int, edges):
         if not (1 <= u < v <= n):
             raise DomainError(f"edge ({u}, {v}) is not a normalized pair within 1..{n}")
     raise DomainError("edges must be a sized collection of integer pairs")
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int, for the library's integer arguments: whatever
+    ``operator.index`` takes counts (numpy integers, and bools as 0 and 1),
+    anything else raises DomainError.  Edge endpoints and matching pairs
+    follow the same rule in bulk."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} {value!r} is not an integer") from None
+
+
+def _vertex_pairs(pairs) -> list[tuple[int, int]]:
+    """``pairs`` as int tuples (a, b), a <= b, by ``_integer``'s rule;
+    DomainError for an entry that is not two integers."""
+    out = []
+    for pair in pairs:
+        try:
+            a, b = map(operator.index, pair)
+        except (TypeError, ValueError):
+            raise DomainError(f"pair {pair!r} is not a pair of integers") from None
+        out.append((a, b) if a <= b else (b, a))
+    return out
+
+
+def _edge_rows(arr: np.ndarray, pairs: list[tuple[int, int]]) -> np.ndarray:
+    """The row of the edge array ``arr`` holding each of ``pairs``, or -1.
+    Each pair (a, b) has a < b within int64 and its own a, so one
+    ``searchsorted`` of the rows' u among the a's finds every match."""
+    where = np.full(len(pairs), -1, dtype=np.int64)
+    if pairs:
+        q = np.array(pairs, dtype=np.int64)
+        order = np.argsort(q[:, 0])
+        a, b = q[order, 0], q[order, 1]
+        u, v = arr[:, 0], arr[:, 1]
+        k = np.minimum(np.searchsorted(a, u), len(pairs) - 1)
+        hit = np.flatnonzero((a[k] == u) & (b[k] == v))
+        where[order[k[hit]]] = hit
+    return where
 
 
 def havel_hakimi_realize(d: DegreeSequence) -> Realization:
