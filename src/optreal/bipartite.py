@@ -6,12 +6,19 @@ sequence, with a zero diagonal and one extra structural property depending
 on the mode (prefix domination for "mds", an inverted prefix matching for
 "mm").  The incidence is held sparsely, as the sorted list of W-side
 neighbours of each V-side vertex, so it takes O(n + sum(d)) space.
+
+One function, ``_checked_incidence``, checks the rules on row sets:
+``validate()`` runs it on ``rows``, and both read-offs of a flow (the
+extraction's ``_from_assignment`` and realize's ``_from_reduction_flow``)
+on the sets they read, through ``_flow_checked``.
 """
 
 from __future__ import annotations
 
+import operator
 from array import array
 from dataclasses import dataclass
+from itertools import islice
 from typing import Literal
 
 import numpy as np
@@ -53,7 +60,10 @@ class BipartiteRealization:
     def validate(self):
         """Raise ContractError unless the mode's structural properties hold.
 
-        Runs in O(n + sum(d)): every row is scanned once.
+        Checks the list form here -- the shape, the mode, the prefix range,
+        an empty ``rows[0]`` and each row a strictly increasing list of ints
+        in 1..n -- and the rules on the rows' sets (see
+        ``_checked_incidence``), in O(n + sum(d)).
         """
         n, rows = self.n, self.rows
         if len(self.degrees) != n or not isinstance(rows, list) or len(rows) != n + 1:
@@ -64,69 +74,29 @@ class BipartiteRealization:
             raise ContractError(f"prefix {self.prefix} out of range")
         if rows[0] != []:
             raise ContractError("row 0 is not an empty list")
-        mds = self.mode == "mds"
-        prefix = self.prefix
-        col = [0] * (n + 1)
-        reached = bytearray(n + 1)  # columns with a neighbor in rows 1..prefix
-        for i in range(1, n + 1):
-            row = rows[i]
-            if not isinstance(row, list):
-                raise ContractError(f"row {i} is not a list")
-            prev = 0
-            for j in row:
-                if type(j) is not int or not prev < j <= n:
+
+        def row_sets():
+            for i in range(1, n + 1):
+                row = rows[i]
+                if not isinstance(row, list):
+                    raise ContractError(f"row {i} is not a list")
+                if row and not (set(map(type, row)) == {int} and 1 <= row[0] and row[-1] <= n
+                                and all(map(operator.lt, row, islice(row, 1, None)))):
                     raise ContractError(
                         f"row {i} is not a strictly increasing list of columns in 1..{n}")
-                col[j] += 1
-                prev = j
-            if i in row:
-                raise ContractError(f"diagonal entry ({i}, {i}) is set")
-            if len(row) != self.degrees[i - 1]:
-                raise ContractError(
-                    f"row {i} sums to {len(row)}, expected {self.degrees[i - 1]}")
-            if not mds:
-                continue
-            if i <= prefix:
-                for j in row:
-                    reached[j] = 1
-            elif not row or row[0] > prefix:
-                raise ContractError(f"row {i} has no neighbor in the dominating prefix")
-        for j in range(1, n + 1):
-            if col[j] != self.degrees[j - 1]:
-                raise ContractError(f"column {j} sums to {col[j]}, expected {self.degrees[j - 1]}")
-        if mds:
-            for j in range(prefix + 1, n + 1):
-                if not reached[j]:
-                    raise ContractError(f"column {j} has no neighbor in the dominating prefix")
-        else:
-            for i in range(1, prefix + 1):
-                j = prefix - i + 1
-                if j not in rows[i]:
-                    raise ContractError(f"inverted matching entry ({i}, {j}) missing")
+                yield set(row), None
 
-
-def _invalid(reason: str) -> InternalError:
-    """The error for a realization read off a saturating flow that breaks
-    one of ``validate()``'s rules, given in its wording.  The flow was not
-    the one the reduction guarantees, so this is a bug."""
-    return InternalError(f"saturating flow produced an invalid realization: {reason}")
-
-
-def _validated(bip: BipartiteRealization) -> BipartiteRealization:
-    """``bip`` once ``validate()`` accepts it; otherwise InternalError (see
-    ``_invalid``)."""
-    try:
-        bip.validate()
-    except ContractError as exc:
-        raise _invalid(str(exc)) from exc
-    return bip
+        for _ in _checked_incidence(n, self.prefix, self.mode, self.degrees, row_sets()):
+            pass
 
 
 def _checked_incidence(n: int, prefix: int, mode: Literal["mds", "mm"],
                        degrees: tuple[int, ...], incidence):
     """Yield each (row set, column set) pair of ``incidence``, vertex
-    i = 1..n in turn, once row i passes ``validate()``'s row rules, then
-    check its column rules after the last row.
+    i = 1..n in turn, once row i passes the row rules, then check the
+    column rules after the last row; the column set is passed on unread.
+    This is the one implementation of the bipartite rules: ``validate()``
+    and both flow read-offs (see ``_flow_checked``) run it.
 
     The rules are checked on the sets, in O(n) Python steps plus C-level
     set and numpy work, before anyone changes the row set: row i has d_i
@@ -134,45 +104,53 @@ def _checked_incidence(n: int, prefix: int, mode: Literal["mds", "mm"],
     prefix and the prefix rows together cover every nonprefix column; in mm
     mode row i <= prefix holds its partner prefix - i + 1.  Every entry
     goes into one int64 array, whose range check and ``bincount`` give the
-    column sums.  A broken rule raises ``_invalid`` with validate()'s words.
+    column sums.  A broken rule raises ContractError naming it.
     """
     mds = mode == "mds"
     prefix_set = set(range(1, prefix + 1)) if mds else None
     entries = array("q")
     prefix_entries = 0   # the prefix rows' entries open ``entries``
     for i, (out_i, in_i) in enumerate(incidence, 1):
-        try:
-            entries.extend(out_i)
-        except (TypeError, OverflowError):
-            raise _invalid(f"row {i} is not a strictly increasing list of columns in 1..{n}") from None
+        entries.extend(out_i)
         if i in out_i:
-            raise _invalid(f"diagonal entry ({i}, {i}) is set")
+            raise ContractError(f"diagonal entry ({i}, {i}) is set")
         if len(out_i) != degrees[i - 1]:
-            raise _invalid(f"row {i} sums to {len(out_i)}, expected {degrees[i - 1]}")
+            raise ContractError(f"row {i} sums to {len(out_i)}, expected {degrees[i - 1]}")
         if i <= prefix:
             prefix_entries = len(entries)
             if not mds and prefix - i + 1 not in out_i:
-                raise _invalid(f"inverted matching entry ({i}, {prefix - i + 1}) missing")
+                raise ContractError(f"inverted matching entry ({i}, {prefix - i + 1}) missing")
         elif mds and out_i.isdisjoint(prefix_set):
-            raise _invalid(f"row {i} has no neighbor in the dominating prefix")
+            raise ContractError(f"row {i} has no neighbor in the dominating prefix")
         yield out_i, in_i
     cols = np.frombuffer(entries, dtype=np.int64)
     outside = np.flatnonzero((cols < 1) | (cols > n))
     if outside.size:
         # every row before it held d_i entries
         row = int(np.searchsorted(np.cumsum(degrees), outside[0], side="right")) + 1
-        raise _invalid(f"row {row} is not a strictly increasing list of columns in 1..{n}")
+        raise ContractError(f"row {row} is not a strictly increasing list of columns in 1..{n}")
     sums = np.bincount(cols, minlength=n + 1)[1:]
     wrong = np.flatnonzero(sums != np.array(degrees, dtype=np.int64))
     if wrong.size:
         j = int(wrong[0]) + 1
-        raise _invalid(f"column {j} sums to {sums[j - 1]}, expected {degrees[j - 1]}")
+        raise ContractError(f"column {j} sums to {sums[j - 1]}, expected {degrees[j - 1]}")
     if mds:
         reached = np.bincount(cols[:prefix_entries], minlength=n + 1)[prefix + 1:]
         unreached = np.flatnonzero(reached == 0)
         if unreached.size:
-            raise _invalid(f"column {prefix + 1 + int(unreached[0])} has no neighbor "
-                           "in the dominating prefix")
+            raise ContractError(f"column {prefix + 1 + int(unreached[0])} has no neighbor "
+                                "in the dominating prefix")
+
+
+def _flow_checked(n: int, prefix: int, mode: Literal["mds", "mm"],
+                  degrees: tuple[int, ...], incidence):
+    """``_checked_incidence`` on an incidence read off a saturating flow.
+    The flow was not the one the reduction guarantees if a rule breaks, so
+    that is a bug: InternalError, in the rule's words."""
+    try:
+        yield from _checked_incidence(n, prefix, mode, degrees, incidence)
+    except ContractError as exc:
+        raise InternalError(f"saturating flow produced an invalid realization: {exc}") from exc
 
 
 def _from_assignment(n: int, prefix: int, mode: Literal["mds", "mm"],
@@ -186,7 +164,7 @@ def _from_assignment(n: int, prefix: int, mode: Literal["mds", "mm"],
     ``partner[i]``, a pair the network omits.  An assignment on another
     network (its node count, sink or source capacities differ) raises
     ContractError, and a flow short of ``sum(caps)`` raises InfeasibleError.
-    The sorted rows are validated once (see ``_validated``).
+    The row sets are checked (see ``_flow_checked``), then sorted.
     """
     net = assignment.network
     r = n - flow_prefix
@@ -200,19 +178,19 @@ def _from_assignment(n: int, prefix: int, mode: Literal["mds", "mm"],
         raise InfeasibleError(
             f"flow value {assignment.value} < {sum(caps)}: no realization with {shape}")
     xp0 = 2 * n - flow_prefix   # x'_i = xp0 + i, y'_j = xp0 + r + j
-    rows = [[p] if p else [] for p in partner]
+    rows = [{p} if p else set() for p in partner]
     flows, tails, heads = assignment.flows, net.tails, net.heads
     for k in range(net.arc_count):
         if flows[k] != 1:
             continue
         u, v = tails[k], heads[k]
         if 1 <= u <= n and n < v <= 2 * n:
-            rows[u].append(v - n)
+            rows[u].add(v - n)
         elif 2 * n < u <= 2 * n + r < v:
-            rows[u - xp0].append(v - xp0 - r)
-    for i, cols in enumerate(rows):
-        rows[i] = sorted(cols)
-    return _validated(BipartiteRealization(n, prefix, mode, degrees, rows))
+            rows[u - xp0].add(v - xp0 - r)
+    checked = _flow_checked(n, prefix, mode, degrees, ((rows[i], None) for i in range(1, n + 1)))
+    return BipartiteRealization(n, prefix, mode, degrees,
+                                [[]] + [sorted(out_i) for out_i, _ in checked])
 
 
 def _from_reduction_flow(n: int, prefix: int, mode: Literal["mds", "mm"],
@@ -225,7 +203,7 @@ def _from_reduction_flow(n: int, prefix: int, mode: Literal["mds", "mm"],
     Row i's ones are its x_i -> y_j and x'_i -> y'_j units plus
     ``partner[i]``, a pair the network omits, and column i's are the same
     pairs transposed.  Vertex i's row and column sets are checked against
-    ``validate()``'s rules (see ``_checked_incidence``) and then folded
+    the bipartite rules (see ``_flow_checked``) and then folded
     straight into its weights (see ``HalfWeights.fold``); each solver set is
     released as it is merged or folded, so memory stays at the flow's own
     peak, and no sorted row is built.  The value search found the network
@@ -248,4 +226,4 @@ def _from_reduction_flow(n: int, prefix: int, mode: Literal["mds", "mm"],
             rows[i] = cols[i] = sup_rows[i] = sup_cols[i] = None
             yield out_i, in_i
 
-    return HalfWeights.fold(n, degrees, _checked_incidence(n, prefix, mode, degrees, incidence()))
+    return HalfWeights.fold(n, degrees, _flow_checked(n, prefix, mode, degrees, incidence()))

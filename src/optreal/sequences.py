@@ -74,22 +74,17 @@ class DegreeSequence:
 
     @classmethod
     def _from_array(cls, desc: np.ndarray, zero_count: int) -> "DegreeSequence":
-        """Build from a non-increasing int64 array of positive degrees.
+        """Build from a non-increasing int64 array of positive degrees,
+        without ``__post_init__``'s loop per entry.
 
-        Checks what ``__post_init__`` checks, with numpy instead of a loop
-        per entry: ``tolist`` of an int64 array yields exact ints.  The
-        sequence keeps a read-only contiguous copy of ``desc`` as ``_array``,
-        so the value path reads the degrees without converting ``values``
-        back.
+        Nothing is checked again: the only caller, ``parse_sequence``, passes
+        ``np.sort(arr[arr > 0])[::-1]`` of a one-dimensional int64 ``arr``
+        and ``arr.size - positive.size``, so the order, the positivity and
+        the zero count hold by construction, and ``tolist`` of an int64
+        array yields exact ints.  The sequence keeps a read-only contiguous
+        copy of ``desc`` as ``_array``, so the value path reads the degrees
+        without converting ``values`` back.
         """
-        if desc.dtype != np.int64 or desc.ndim != 1:
-            raise DomainError("degrees must be a one-dimensional int64 array")
-        if np.any(desc[:-1] < desc[1:]):
-            raise DomainError("degrees must be sorted in non-increasing order")
-        if desc.size and desc[-1] < 1:
-            raise DomainError("degrees must be positive")
-        if zero_count < 0:
-            raise DomainError("zero_count must be non-negative")
         arr = np.array(desc, order="C")
         arr.flags.writeable = False
         seq = object.__new__(cls)
@@ -324,7 +319,8 @@ class Realization:
     1 <= u < v <= n per edge, which the degrees, the verifiers and the CLI
     read.  ``edges``, the same edges as a frozenset, is built on first read
     (racing threads keep equal sets).  Equality and hashing compare n, the
-    edge set and the certificate.
+    edge set and the certificate.  Edges given as a list or tuple must not
+    repeat a pair.
     """
 
     __slots__ = ("n", "certificate", "_array", "_edges")
@@ -346,7 +342,13 @@ class Realization:
             pass
         if flat is None:
             _reject_first_bad_edge(n, edges)
-        return cls._from_array(n, flat.reshape(-1, 2), certificate, edges)
+        graph = cls._from_array(n, flat.reshape(-1, 2), certificate, edges)
+        if not isinstance(edges, (set, frozenset)):
+            pairs, counts = np.unique(graph._array, axis=0, return_counts=True)
+            if pairs.shape[0] < len(edges):
+                u, v = pairs[int(np.argmax(counts > 1))].tolist()
+                raise DomainError(f"edge ({u}, {v}) is repeated")
+        return graph
 
     @classmethod
     def _from_array(cls, n: int, arr: np.ndarray, certificate: Optional[Certificate] = None,

@@ -19,7 +19,8 @@ def pytest_addoption(parser):
                           "realize tests (tests/test_scale.py)")
     parser.addoption("--exhaustive", action="store_true",
                      help="also run the opt-in oracle check of every graphic n = 8 "
-                          "sequence (tests/test_exhaustive.py)")
+                          "sequence and the saturation check of every n <= 10 one "
+                          "(tests/test_exhaustive.py)")
 
 
 def all_positive_sequences(n: int):
@@ -64,11 +65,11 @@ def random_graphic_sequence(rng: random.Random, n: int, dmax: int | None = None)
 
 
 def record_checked_realizations(monkeypatch) -> list:
-    """Make realize's check of the flow's sets (``bipartite._checked_incidence``)
-    record, per call, the realization it checks, each row as its sorted
-    column list taken before anyone changes the row set; return the list
-    the realizations go into."""
-    check = bipartite._checked_incidence
+    """Make the check of a flow's sets (``bipartite._flow_checked``, which
+    ``validate()`` does not call) record, per call, the realization it
+    checks, each row as its sorted column list taken before anyone changes
+    the row set; return the list the realizations go into."""
+    check = bipartite._flow_checked
     seen = []
 
     def recording(n, prefix, mode, degrees, incidence):
@@ -82,5 +83,5 @@ def record_checked_realizations(monkeypatch) -> list:
 
         return check(n, prefix, mode, degrees, recorded())
 
-    monkeypatch.setattr(bipartite, "_checked_incidence", recording)
+    monkeypatch.setattr(bipartite, "_flow_checked", recording)
     return seen

@@ -66,6 +66,14 @@ def accepts(check) -> bool:
     return True
 
 
+def rows_to_dense(n, rows):
+    adj = [bytearray(n + 1) for _ in range(n + 1)]
+    for i, row in enumerate(rows):
+        for j in row:
+            adj[i][j] = 1
+    return adj
+
+
 def rows_of(adj, n):
     return [[]] + [[j for j in range(1, n + 1) if adj[i][j]] for i in range(1, n + 1)]
 
@@ -185,15 +193,56 @@ def test_malformed_rows_rejected(mutate):
         BipartiteRealization(3, 1, "mds", (2, 2, 2), rows).validate()
 
 
-@pytest.mark.parametrize("n, prefix, mode, degrees, rows", [
+# (prefix, mode, degrees, rows) with one fault each
+SINGLE_FAULTS = [
+    (1, "mds", (2, 2, 2), [[], [2, 3], [3], [1, 2]]),               # a row sum
+    (1, "mds", (2, 2, 2), [[], [1, 2, 3], [1, 3], [1, 2]]),         # a diagonal
+    (1, "mds", (2, 2, 2), [[], [2, 4], [1, 3], [1, 2]]),            # a column out of range
+    (1, "mds", (2, 2, 2, 2), [[], [2, 3], [1, 4], [1, 4], [2, 3]]),  # no prefix neighbour
+    (2, "mm", (1, 1, 1, 1), [[], [3], [4], [1], [2]]),              # a partner missing
+    (2, "mm", (1, 1, 1, 1), [[], [2], [1], [2], [3]]),              # a column sum
+    (2, "mds", (2, 2, 2, 2, 2), [[], [2, 3], [3, 4], [1, 5], [1, 5], [2, 4]]),  # a column uncovered
+]
+
+SINGLE_FAULT_ROWS = [
     # row and column counts hold; the one fault is the named one
     pytest.param(2, 0, "mm", (1, 1), [[], [1], [2]], id="diagonal-only"),
     pytest.param(4, 0, "mm", (2, 2, 2, 2), [[], [2, 2], [3, 4], [1, 4], [1, 3]],
                  id="duplicate-only"),
-])
+]
+
+
+@pytest.mark.parametrize("n, prefix, mode, degrees, rows", SINGLE_FAULT_ROWS)
 def test_single_fault_rows_rejected(n, prefix, mode, degrees, rows):
     with pytest.raises(ContractError):
         BipartiteRealization(n, prefix, mode, degrees, rows).validate()
+
+
+def dense_faults():
+    """The single faults above that a dense 0/1 matrix can hold: a column
+    outside 1..n or a repeated one is a fault of the list form only."""
+    cases = [(len(degrees), prefix, mode, degrees, rows)
+             for prefix, mode, degrees, rows in SINGLE_FAULTS]
+    cases += [case.values for case in SINGLE_FAULT_ROWS]
+    return [(n, prefix, mode, degrees, rows) for n, prefix, mode, degrees, rows in cases
+            if all(row == sorted(set(row)) and set(row) <= set(range(1, n + 1))
+                   for row in rows)]
+
+
+@pytest.mark.parametrize("n, prefix, mode, degrees, rows", dense_faults())
+def test_validate_names_a_single_fault_like_the_dense_reference(n, prefix, mode, degrees, rows):
+    # the rule function validate() shares with both flow read-offs, against
+    # an independent per-entry implementation of the same rules
+    with pytest.raises(ContractError) as expected:
+        dense_validate(n, prefix, mode, degrees, rows_to_dense(n, rows))
+    with pytest.raises(ContractError) as info:
+        BipartiteRealization(n, prefix, mode, degrees, rows).validate()
+    assert str(info.value) == str(expected.value)
+
+
+def test_dense_faults_cover_every_rule():
+    # all but the column out of range and the repeated column
+    assert len(dense_faults()) == 7
 
 
 def test_adjacency_is_a_fresh_dense_view():

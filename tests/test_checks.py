@@ -1,10 +1,13 @@
 """Realize's checks at set and array speed against the per-entry references.
 
 ``realize_*`` checks the bipartite realization its flow carries on the
-flow's row and column sets (``bipartite._checked_incidence``), never on
-sorted rows; ``BipartiteRealization.validate()`` stays the public check of
-``rows``.  Every single mutation of a solver realization below must be
-rejected by both, and an unmutated one accepted by both.
+flow's row and column sets (``bipartite._flow_checked``), never on sorted
+rows; ``BipartiteRealization.validate()``, the public check of ``rows``,
+checks their list form and then runs the same rule function
+(``bipartite._checked_incidence``) on their sets.  Every single mutation of
+a solver realization below must be rejected by both, and an unmutated one
+accepted by both; the per-entry reference for the rules and their messages
+is ``dense_validate`` in ``test_bipartite.py``.
 
 A ``Realization`` keeps its edges as one int64 array, built and checked at
 construction; ``degrees()`` and ``verify_dominating`` read it.  They are
@@ -31,8 +34,9 @@ from optreal.matching import _mm_pattern
 from optreal.sequences import Realization
 
 from conftest import graphic_sequences_upto, record_checked_realizations
+from test_bipartite import SINGLE_FAULTS
 
-CHECK = bipartite._checked_incidence
+CHECK = bipartite._flow_checked
 
 
 def _pool(workload: str) -> list[DegreeSequence]:
@@ -184,14 +188,7 @@ def test_mutations_rejected_by_both_checks_on_benchmark_pools(monkeypatch, workl
             assert {"dropped", "diagonal", "column"} <= seen
 
 
-@pytest.mark.parametrize("prefix, mode, degrees, rows", [
-    (1, "mds", (2, 2, 2), [[], [2, 3], [3], [1, 2]]),               # a row sum
-    (1, "mds", (2, 2, 2), [[], [1, 2, 3], [1, 3], [1, 2]]),         # a diagonal
-    (1, "mds", (2, 2, 2), [[], [2, 4], [1, 3], [1, 2]]),            # a column out of range
-    (1, "mds", (2, 2, 2, 2), [[], [2, 3], [1, 4], [1, 4], [2, 3]]),  # no prefix neighbour
-    (2, "mm", (1, 1, 1, 1), [[], [3], [4], [1], [2]]),              # a partner missing
-    (2, "mm", (1, 1, 1, 1), [[], [2], [1], [2], [3]]),              # a column sum
-])
+@pytest.mark.parametrize("prefix, mode, degrees, rows", SINGLE_FAULTS)
 def test_check_messages_match_validate(prefix, mode, degrees, rows):
     # one fault each, found first by both checks and named in the same words
     bip = BipartiteRealization(len(degrees), prefix, mode, degrees, rows)
@@ -323,6 +320,26 @@ def test_constructor_names_the_first_bad_edge_like_the_loop():
 def test_constructor_rejects_edges_it_cannot_use(edges):
     with pytest.raises(DomainError, match="is not a pair of integers"):
         Realization(3, frozenset(edges))
+
+
+@pytest.mark.parametrize("edges, pair", [
+    ([(1, 2), (1, 2)], (1, 2)),
+    (((2, 3), (1, 2), (2, 3)), (2, 3)),
+    ([(1, 3), (1, 2), (1, 3), (1, 2)], (1, 2)),   # the least repeated pair
+])
+def test_constructor_rejects_a_repeated_pair(edges, pair):
+    with pytest.raises(DomainError) as info:
+        Realization(3, edges)
+    assert str(info.value) == f"edge {pair} is repeated"
+
+
+def test_sets_and_from_edges_keep_one_copy_of_each_pair():
+    want = Realization(3, [(1, 2), (2, 3)])
+    for edges in ({(1, 2), (2, 3)}, frozenset({(2, 3), (1, 2)})):
+        g = Realization(3, edges)
+        assert g == want and g.degrees() == (1, 2, 1) and len(g._array) == 2
+    g = Realization.from_edges(3, [(1, 2), (2, 1), (2, 3), (1, 2), (3, 2)])
+    assert g == want and g.degrees() == (1, 2, 1) and len(g._array) == 2
 
 
 def test_constructor_rejects_edges_without_a_size():

@@ -239,6 +239,15 @@ def test_numpy_integers_and_bools_count_as_integers():
     assert flip(G, np.int64(1), 2, 3, 4).edges == flip(G, 1, 2, 3, 4).edges
 
 
+def test_degrees_take_exact_ints_only():
+    # ``values`` is stored, hashed and printed as given, so a numpy integer
+    # would need a conversion pass; degrees refuse it instead
+    with pytest.raises(DomainError, match="expected a positive integer"):
+        DegreeSequence((np.int64(2), 2))
+    with pytest.raises(DomainError, match="is not an integer"):
+        DegreeSequence.from_degrees([np.int64(2)])
+
+
 # ------------------------------------------------------ CLI input decoding
 
 
