@@ -16,7 +16,6 @@ on the sets they read, through ``_flow_checked``.
 from __future__ import annotations
 
 import operator
-from array import array
 from dataclasses import dataclass
 from itertools import islice
 from typing import Literal
@@ -108,7 +107,7 @@ def _checked_incidence(n: int, prefix: int, mode: Literal["mds", "mm"],
     """
     mds = mode == "mds"
     prefix_set = set(range(1, prefix + 1)) if mds else None
-    entries = array("q")
+    entries = []
     prefix_entries = 0   # the prefix rows' entries open ``entries``
     for i, (out_i, in_i) in enumerate(incidence, 1):
         entries.extend(out_i)
@@ -123,7 +122,7 @@ def _checked_incidence(n: int, prefix: int, mode: Literal["mds", "mm"],
         elif mds and out_i.isdisjoint(prefix_set):
             raise ContractError(f"row {i} has no neighbor in the dominating prefix")
         yield out_i, in_i
-    cols = np.frombuffer(entries, dtype=np.int64)
+    cols = np.fromiter(entries, dtype=np.int64, count=len(entries))
     outside = np.flatnonzero((cols < 1) | (cols > n))
     if outside.size:
         # every row before it held d_i entries

@@ -79,29 +79,30 @@ def _cmd_check(args, out) -> int:
     return 1
 
 
-# objective -> (value function, realize function, certificate label, the
-# certificate's members as JSON values, one member as text)
+# objective -> (value function, realize function, oracle function, certificate
+# label, the certificate's members as JSON values, one member as text)
 _OBJECTIVES = {
-    "mds": (mds_value, realize_mds, "dominating-set", lambda cert: list(cert.vertices), str),
-    "mm": (mm_value, realize_mm, "matching", lambda cert: [list(p) for p in cert.pairs],
-           lambda pair: f"({pair[0]},{pair[1]})"),
+    "mds": (mds_value, realize_mds, oracle_mds, "dominating-set",
+            lambda cert: list(cert.vertices), str),
+    "mm": (mm_value, realize_mm, oracle_mm, "matching",
+           lambda cert: [list(p) for p in cert.pairs], lambda pair: f"({pair[0]},{pair[1]})"),
 }
 
 
-def _cmd_value(args, out, objective: str) -> int:
+def _cmd_value(args, out) -> int:
     d = _load_sequence(args.sequence)
-    print(_OBJECTIVES[objective][0](d), file=out)
+    print(_OBJECTIVES[args.command][0](d), file=out)
     return 0
 
 
-def _cmd_realize(args, out, objective: str) -> int:
+def _cmd_realize(args, out) -> int:
     started = time.perf_counter()
     d = _load_sequence(args.sequence)
-    _, realize, label, members_of, member_text = _OBJECTIVES[objective]
+    _, realize, _, label, members_of, member_text = _OBJECTIVES[args.command]
     graph = realize(d)
     members = members_of(graph.certificate)
     if args.json:
-        print(json.dumps(_report(d, objective, graph, label, members, started)), file=out)
+        print(json.dumps(_report(d, args.command, graph, label, members, started)), file=out)
         return 0
     _print_edges(graph, out)
     print(" ".join([f"{label}:"] + [member_text(m) for m in members]), file=out)
@@ -177,8 +178,7 @@ def _cmd_verify(args, out) -> int:
 
 def _cmd_oracle(args, out) -> int:
     d = _load_sequence(args.sequence)
-    value = oracle_mds(d, args.limit) if args.objective == "mds" else oracle_mm(d, args.limit)
-    print(value, file=out)
+    print(_OBJECTIVES[args.objective][2](d, args.limit), file=out)
     return 0
 
 
@@ -190,27 +190,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="decide graphicality")
     p.add_argument("sequence", help="degrees inline, @file, or - for stdin")
+    p.set_defaults(handler=_cmd_check)
 
     for name in ("mds", "mm"):
         group = sub.add_parser(name, help=f"{name} objective")
         gsub = group.add_subparsers(dest="action", required=True)
         pv = gsub.add_parser("value", help="optimal size over all realizations")
         pv.add_argument("sequence")
+        pv.set_defaults(handler=_cmd_value)
         pr = gsub.add_parser("realize", help="witness graph with certificate")
         pr.add_argument("sequence")
         pr.add_argument("--json", action="store_true", help="emit a JSON report")
+        pr.set_defaults(handler=_cmd_realize)
 
     p = sub.add_parser("verify", help="check an edge list and certificates against a sequence")
     p.add_argument("--seq", required=True, help="degrees inline, @file, or -")
     p.add_argument("--edges", required=True, help="edge list file, one 'u v' per line, # comments")
     p.add_argument("--dominating", help="comma-separated vertex list")
     p.add_argument("--matching", help="comma-separated pairs like 1-4,2-3")
+    p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("oracle", help="exhaustive optimum for small instances")
     p.add_argument("sequence")
     p.add_argument("--objective", choices=("mds", "mm"), required=True)
     p.add_argument("--limit", type=int, default=DEFAULT_LIMIT,
                    help=f"enumeration vertex limit (default {DEFAULT_LIMIT}, at most {MAX_LIMIT})")
+    p.set_defaults(handler=_cmd_oracle)
 
     return parser
 
@@ -222,21 +227,8 @@ def run(argv=None, out=None, err=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "check":
-            return _cmd_check(args, out)
-        if args.command in ("mds", "mm"):
-            if args.action == "value":
-                return _cmd_value(args, out, args.command)
-            return _cmd_realize(args, out, args.command)
-        if args.command == "verify":
-            return _cmd_verify(args, out)
-        if args.command == "oracle":
-            return _cmd_oracle(args, out)
-        raise AssertionError(f"unhandled command {args.command!r}")
-    except OptrealError as exc:
-        print(f"error: {exc}", file=err)
-        return 1
-    except OSError as exc:
+        return args.handler(args, out)
+    except (OptrealError, OSError) as exc:
         print(f"error: {exc}", file=err)
         return 1
 

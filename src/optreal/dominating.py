@@ -233,16 +233,13 @@ def _round_mds(hw: HalfWeights, gamma: int, checked: bool) -> Realization:
                 hw.set_weight(s, b, 2)
                 hw.set_weight(b, c, 0)
                 hw.set_weight(a, c, 1)
-            elif ac == 1:
-                hw.set_weight(a, s, 2)
-                hw.set_weight(s, b, 0)
-                hw.set_weight(b, c, 2)
-                hw.set_weight(a, c, 0)
             else:
+                # 2-dom-path rule for w(a, c) = 1/2 or 1: a-s and b-c go to
+                # full weight, s-b to zero, a-c down by one half-unit
                 hw.set_weight(a, s, 2)
                 hw.set_weight(s, b, 0)
                 hw.set_weight(b, c, 2)
-                hw.set_weight(a, c, 1)
+                hw.set_weight(a, c, ac - 1)
             if checked:
                 _checked_state(hw, gamma)
     if checked:

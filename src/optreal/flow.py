@@ -43,44 +43,38 @@ class FlowNetwork:
 
     def __init__(self, node_count: int, source: int, sink: int,
                  arcs: Iterator[tuple[int, int, int]] | list[tuple[int, int, int]]):
-        self.node_count = node_count
+        n = self.node_count = node_count
         self.source = source
         self.sink = sink
+        if not (0 <= source < n and 0 <= sink < n):
+            raise NetworkError("source/sink out of range")
+        if source == sink:
+            raise NetworkError("source and sink must differ")
         self.tails = array("l")
         self.heads = array("l")
         self.caps = array("l")
+        seen = set()
         try:
-            for u, v, c in arcs:
+            for k, (u, v, c) in enumerate(arcs):
                 self.tails.append(u)
                 self.heads.append(v)
                 self.caps.append(c)
+                if not (0 <= u < n and 0 <= v < n):
+                    raise NetworkError(f"arc {k} endpoint out of range")
+                if u == v:
+                    raise NetworkError(f"arc {k} is a self-loop at node {u}")
+                if c < 0:
+                    raise NetworkError(f"arc {k} has negative capacity {c}")
+                if v == source:
+                    raise NetworkError(f"arc {k} enters the source")
+                if u == sink:
+                    raise NetworkError(f"arc {k} leaves the sink")
+                key = u * n + v
+                if key in seen:
+                    raise NetworkError(f"duplicate arc ({u}, {v})")
+                seen.add(key)
         except OverflowError:
             raise NetworkError(f"arc ({u}, {v}) with capacity {c} does not fit in int64") from None
-        self._validate()
-
-    def _validate(self):
-        n = self.node_count
-        if not (0 <= self.source < n and 0 <= self.sink < n):
-            raise NetworkError("source/sink out of range")
-        if self.source == self.sink:
-            raise NetworkError("source and sink must differ")
-        seen = set()
-        for k in range(len(self.tails)):
-            u, v, c = self.tails[k], self.heads[k], self.caps[k]
-            if not (0 <= u < n and 0 <= v < n):
-                raise NetworkError(f"arc {k} endpoint out of range")
-            if u == v:
-                raise NetworkError(f"arc {k} is a self-loop at node {u}")
-            if c < 0:
-                raise NetworkError(f"arc {k} has negative capacity {c}")
-            if v == self.source:
-                raise NetworkError(f"arc {k} enters the source")
-            if u == self.sink:
-                raise NetworkError(f"arc {k} leaves the sink")
-            key = u * n + v
-            if key in seen:
-                raise NetworkError(f"duplicate arc ({u}, {v})")
-            seen.add(key)
 
     @property
     def arc_count(self) -> int:

@@ -292,18 +292,15 @@ def invert_matching(g: Realization, pairs) -> Realization:
             pass
         elif not ij_edge and not xy_edge:
             do_flip((i, x), (y, j), (i, j), (x, y))
-        elif ij_edge and not xy_edge:
-            z = next((z for z in range(1, g.n + 1)
-                      if z not in (i, j, x, y) and z in adj[x] and z not in adj[j]), None)
-            if z is None:
-                raise InternalError(f"no witness vertex to free ({x}, {y})")
-            do_flip((x, z), (j, y), (x, y), (j, z))
         else:
+            # degree-preserving swap when one of (i, j), (x, y) is an edge:
+            # trade (p, z), (j, y) for (p, q), (s, z), making non-edge (p, q) one
+            p, q, s = (x, y, j) if ij_edge else (i, j, y)
             z = next((z for z in range(1, g.n + 1)
-                      if z not in (i, j, x, y) and z in adj[i] and z not in adj[y]), None)
+                      if z not in (i, j, x, y) and z in adj[p] and z not in adj[s]), None)
             if z is None:
-                raise InternalError(f"no witness vertex to free ({i}, {j})")
-            do_flip((i, z), (j, y), (i, j), (y, z))
+                raise InternalError(f"no witness vertex to free ({p}, {q})")
+            do_flip((p, z), (j, y), (p, q), (s, z))
         matched[i], matched[j] = j, i
         matched[x], matched[y] = y, x
 

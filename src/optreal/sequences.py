@@ -174,7 +174,11 @@ def parse_sequence(text: str) -> DegreeSequence:
             try:
                 degrees.append(int(tok))
             except ValueError:
-                raise ParseError(f"token {tok!r} is not an integer") from None
+                # int() reads at most sys.get_int_max_str_digits() digits
+                digits = tok[1:] if tok[0] in "+-" else tok
+                what = "has more digits than int() reads" if digits.isdecimal() else "is not an integer"
+                quoted = repr(tok) if len(tok) <= 40 else f"{tok[:40]!r}... ({len(tok)} characters)"
+                raise ParseError(f"token {quoted} {what}") from None
         try:
             arr = np.array(degrees, dtype=np.int64)
         except OverflowError:
@@ -442,11 +446,7 @@ def _reject_first_bad_edge(n: int, edges):
     integers u, v with 1 <= u < v <= n; n < 2**63, so an endpoint beyond
     int64 is one of them."""
     for edge in edges:
-        try:
-            u, v = edge
-            operator.index(u), operator.index(v)
-        except (TypeError, ValueError):
-            raise DomainError(f"edge {edge!r} is not a pair of integers") from None
+        u, v = _pair(edge, "edge")
         if not (1 <= u < v <= n):
             raise DomainError(f"edge ({u}, {v}) is not a normalized pair within 1..{n}")
     raise DomainError("edges must be a sized collection of integer pairs")
@@ -463,17 +463,19 @@ def _integer(value, what: str) -> int:
         raise DomainError(f"{what} {value!r} is not an integer") from None
 
 
+def _pair(pair, what: str) -> tuple[int, int]:
+    """``pair`` as two ints by ``_integer``'s rule; DomainError naming it as
+    a ``what`` if it is not two integers."""
+    try:
+        a, b = map(operator.index, pair)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} {pair!r} is not a pair of integers") from None
+    return a, b
+
+
 def _vertex_pairs(pairs) -> list[tuple[int, int]]:
-    """``pairs`` as int tuples (a, b), a <= b, by ``_integer``'s rule;
-    DomainError for an entry that is not two integers."""
-    out = []
-    for pair in pairs:
-        try:
-            a, b = map(operator.index, pair)
-        except (TypeError, ValueError):
-            raise DomainError(f"pair {pair!r} is not a pair of integers") from None
-        out.append((a, b) if a <= b else (b, a))
-    return out
+    """``pairs`` as int tuples (a, b), a <= b, by ``_pair``."""
+    return [tuple(sorted(_pair(pair, "pair"))) for pair in pairs]
 
 
 def _edge_rows(arr: np.ndarray, pairs: list[tuple[int, int]]) -> np.ndarray:

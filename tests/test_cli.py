@@ -184,3 +184,40 @@ def test_missing_file_reports_error():
     code, _, err = invoke(["mds", "value", "@/nonexistent/seq.txt"])
     assert code == 1
     assert "error:" in err
+
+
+def test_over_long_degree_token_is_one_short_error():
+    # int() refuses more than sys.get_int_max_str_digits() digits
+    code, out, err = invoke(["check", "1" * 5000 + " 1"])
+    assert (code, out) == (1, "")
+    assert err == (f"error: token {'1' * 40!r}... (5000 characters) "
+                   "has more digits than int() reads\n")
+    assert err.count("\n") == 1 and len(err) < 200
+
+
+def test_edge_file_line_without_two_ids(tmp_path):
+    path = tmp_path / "edges.txt"
+    path.write_text("1 2\n1 2 3\n")
+    assert invoke(["verify", "--seq", "1 1", "--edges", str(path)]) == (
+        1, "", f"error: {path}:2: expected two vertex ids, got '1 2 3'\n")
+
+
+def test_verify_csv_errors(tmp_path):
+    path = tmp_path / "edges.txt"
+    path.write_text("1 2\n")
+    argv = ["verify", "--seq", "1 1", "--edges", str(path)]
+    # the degree line comes out before the certificate is parsed
+    assert invoke(argv + ["--dominating", "1,x"]) == (
+        1, "degrees: ok\n", "error: bad vertex list '1,x'; expected comma-separated integers\n")
+    assert invoke(argv + ["--matching", "1-2,1-2-3"]) == (
+        1, "degrees: ok\n", "error: bad matching pair '1-2-3'; expected a-b\n")
+    assert invoke(argv + ["--matching", "1-x"]) == (
+        1, "degrees: ok\n", "error: bad matching pair '1-x'; expected integers\n")
+
+
+def test_verify_skips_empty_matching_tokens(tmp_path):
+    path = tmp_path / "edges.txt"
+    path.write_text("1 2\n")
+    argv = ["verify", "--seq", "1 1", "--edges", str(path), "--matching"]
+    assert invoke(argv + ["1-2,,"]) == invoke(argv + ["1-2"]) == (
+        0, "degrees: ok\nmatching: ok\n", "")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -140,3 +141,21 @@ def test_invert_exhaustive_four_vertices():
                 assert out.degrees() == g.degrees()
                 assert out.certificate.pairs == want
                 assert verify_matching(out, want)
+
+
+# Exact outputs of every inversion over the degree-sorted 4- and 6-vertex
+# graphs; both one-edge swap cases (only (i, j) or only (x, y) an edge) occur.
+INVERT_PIN = (4339, "cf38528d4415241bbd05e09f95abcb9be9a0f7b638acc2ac8512eb3f09cd3023")
+
+
+def test_invert_exact_outputs_pinned():
+    h = hashlib.sha256()
+    count = 0
+    for n in (4, 6):
+        for g in all_degree_sorted_graphs(n):
+            for nu in range(1, n // 2 + 1):
+                for matching in prefix_matchings(g, nu):
+                    out = invert_matching(g, matching)
+                    h.update(f"{n} {sorted(g.edges)} {matching} {sorted(out.edges)}\n".encode())
+                    count += 1
+    assert (count, h.hexdigest()) == INVERT_PIN

@@ -35,6 +35,20 @@ def test_parse_non_integer_token(text):
         parse_sequence(text)
 
 
+def test_parse_over_long_token_names_its_length():
+    # int() refuses digit runs beyond sys.get_int_max_str_digits(); the
+    # message quotes 40 characters and gives the length instead
+    with pytest.raises(ParseError) as exc:
+        parse_sequence("1" * 5000 + " 1")
+    assert str(exc.value) == (f"token {'1' * 40!r}... (5000 characters) "
+                              "has more digits than int() reads")
+    with pytest.raises(ParseError) as exc:
+        parse_sequence("2 " + "x" * 41)
+    assert str(exc.value) == f"token {'x' * 40!r}... (41 characters) is not an integer"
+    with pytest.raises(ParseError, match=r"^token 'x' is not an integer$"):
+        parse_sequence("2 x")
+
+
 def test_parse_negative_entry():
     with pytest.raises(DomainError):
         parse_sequence("3 -1 2")

@@ -127,7 +127,13 @@ def per_token_parse(text: str) -> DegreeSequence:
         try:
             degrees.append(int(tok))
         except ValueError:
-            raise ParseError(f"token {tok!r} is not an integer") from None
+            # a digit run fails only beyond sys.get_int_max_str_digits()
+            if re.fullmatch(r"[+-]?\d+", tok):
+                what = "has more digits than int() reads"
+            else:
+                what = "is not an integer"
+            shown = f"{tok[:40]!r}... ({len(tok)} characters)" if len(tok) > 40 else repr(tok)
+            raise ParseError(f"token {shown} {what}") from None
     return DegreeSequence.from_degrees(degrees)
 
 
@@ -149,7 +155,7 @@ _TOKENS = st.one_of(
                      "1.0", "0x10", "x", "9223372036854775807",
                      "9223372036854775808", "-9223372036854775809",
                      "999999999999999999", "1000000000000000000", "0" * 24 + "7",
-                     "00"]))
+                     "00", "7" * 4400, "-" + "٣" * 4400, "1.5" * 14, "x" * 40]))
 # ASCII whitespace, the comma, a no-break space, an em space, and the file,
 # group and unit separators: all of them separate tokens
 _SEPARATORS = st.text(alphabet=" \t\n\r\x0b\x0c,\u00a0\u2003\x1c\x1d\x1f",
@@ -184,6 +190,7 @@ def degree_texts(draw):
 @example("1\x1c2")                       # a separator to str.split, not to numpy
 @example("3\r\n2\r\n")
 @example("9223372036854775807 1")        # numpy saturates past int64 to this
+@example("1" * 5000 + " 1")              # beyond int()'s digit limit
 def test_parse_matches_per_token_path(text):
     assert parse_outcome(parse_sequence, text) == parse_outcome(per_token_parse, text)
 
